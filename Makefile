@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race chaos check fmt vet bench bench-db bench-query bench-predict bench-retrain bench-cluster bench-load bench-kernels profile
+.PHONY: build test race chaos fuzz check fmt vet bench bench-smoke bench-db bench-query bench-predict bench-retrain bench-cluster bench-load bench-kernels profile
 
 build:
 	$(GO) build ./...
@@ -26,6 +26,17 @@ race:
 chaos:
 	$(GO) test -race -v -run TestChaos ./internal/chaos -args -chaos.seed=20260805
 
+# Native fuzzing of the request path's parsers, 20 s per target: DecodeBinary
+# (no panic, bounded allocation) and, whenever the result validates, the
+# indexed graph hash against the frozen reference and across a round trip;
+# then the same for JSON graphs. The seed corpora already run as unit tests
+# in `go test ./...`. Minimization is capped at 1 s because the default 60 s
+# per coverage-expanding input would spend a 20 s budget shrinking one 10 KB
+# zoo body.
+fuzz:
+	$(GO) test ./internal/graphhash -run '^$$' -fuzz '^FuzzDecodeBinary$$' -fuzztime 20s -fuzzminimizetime 1s
+	$(GO) test ./internal/graphhash -run '^$$' -fuzz '^FuzzGraphKeyJSON$$' -fuzztime 20s -fuzzminimizetime 1s
+
 fmt:
 	@out=$$(gofmt -l .); \
 	if [ -n "$$out" ]; then \
@@ -39,6 +50,19 @@ check: fmt vet build race test
 
 bench:
 	$(GO) test -bench . -benchtime 1x
+
+# The repository benchmark as a gate (benchmark/README.md): its own tests, then
+# one traced 10 s run of each workload against freshly built binaries. It
+# compiles against internal/, parses the server's flags and first log line, and
+# checks every answer, so a signature, flag, log-line or answer change it
+# depends on fails here (non-zero exit, "correct":false) before the pipeline
+# runs it. About two minutes.
+bench-smoke:
+	$(GO) vet ./benchmark
+	$(GO) test ./benchmark
+	for w in hit_replay predict_sweep ingest_miss mixed_routed; do \
+		$(GO) run ./benchmark -workload $$w -seed 1 -seconds 10 -trace 1 || exit 1; \
+	done
 
 # Storage-engine baselines (EXPERIMENTS.md): group-commit insert throughput
 # per durability mode, the cache-hit read path, snapshot scans vs writers.
@@ -85,11 +109,17 @@ bench-kernels:
 		-bench 'BenchmarkPredictPlanned|BenchmarkPredictSteadyState' -benchmem -benchtime 1s
 	$(GO) test ./internal/db -run '^$$' -bench 'BenchmarkPointRead' -benchmem -benchtime 1s
 
-# Profile the serving hot path (the pinned-seed planned-predict loop): CPU and
-# allocation pprof captures, then the top-10 cumulative frames of each. The
-# kernel/fusion/plan work in DESIGN.md §15 was steered by exactly this view;
-# rerun it after touching tensor/gnn/core hot paths to see where time moved.
+# Profile the two serving hot paths: the database hit as the daemon's handler
+# runs it (BenchmarkServeQueryHit: JSON, base64, onnx decode + index, graph
+# hash, L1 probe) and the pinned-seed planned-predict loop. CPU and allocation
+# pprof captures, then the top-10 cumulative frames of each. The indexed graph
+# form (DESIGN.md §16) and the kernel/fusion/plan work (§15) were steered by
+# exactly these views; rerun after touching either path to see where time moved.
 profile:
+	$(GO) test ./internal/server -run '^$$' -bench 'BenchmarkServeQueryHit' -benchtime 2s \
+		-cpuprofile $(CURDIR)/hit_cpu.prof -memprofile $(CURDIR)/hit_mem.prof
+	$(GO) tool pprof -top -nodecount=10 -cum $(CURDIR)/hit_cpu.prof
+	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_objects $(CURDIR)/hit_mem.prof
 	$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkPredictPlanned' -benchtime 2s \
 		-cpuprofile $(CURDIR)/cpu.prof -memprofile $(CURDIR)/mem.prof
 	$(GO) tool pprof -top -nodecount=10 -cum $(CURDIR)/cpu.prof

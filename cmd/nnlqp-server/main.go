@@ -91,7 +91,9 @@ func main() {
 		pm.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		pm.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		go func() {
-			log.Printf("pprof listening on http://%s/debug/pprof/", *pprofAddr)
+			// Not "listening on http://…": launchers (benchmark/procs.go) take
+			// the first such line of output for the serving address.
+			log.Printf("pprof endpoints at %s/debug/pprof/", *pprofAddr)
 			if err := http.ListenAndServe(*pprofAddr, pm); err != nil {
 				log.Printf("pprof listener: %v", err)
 			}

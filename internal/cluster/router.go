@@ -15,6 +15,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -316,6 +317,10 @@ func flightKey(path string, header http.Header, body []byte) string {
 	return sb.String()
 }
 
+// maxBodyBytes is the replicas' own body cap (internal/server): the router
+// buffers a body before it can forward it, so it refuses what they would.
+const maxBodyBytes = 8 << 20
+
 // handleProxy routes one /query or /predict request. Byte-identical
 // concurrent requests coalesce: the first becomes the leader and runs the
 // dispatch loop; the rest wait on its flight and share the outcome (counted
@@ -328,9 +333,14 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rt.requests.Add(1)
-	body, err := io.ReadAll(r.Body)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "read body: "+err.Error())
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeErr(w, status, "read body: "+err.Error())
 		return
 	}
 	var req proxyRequest

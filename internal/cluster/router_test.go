@@ -529,3 +529,19 @@ func TestRouterCoalescingKeysOnHeaders(t *testing.T) {
 		t.Fatalf("coalesced = %d, want 0", st.Coalesced)
 	}
 }
+
+// TestRouterRefusesOversizeBody: the router buffers a body before it can
+// forward it, so it enforces the replicas' cap itself — 413, and no replica
+// is troubled.
+func TestRouterRefusesOversizeBody(t *testing.T) {
+	rep := newFakeReplica(t)
+	rt := New(Config{Policy: NewRoundRobin(), MaxAttempts: 2, Health: fastHealth()})
+	rt.AddReplica("r", rep.addr())
+	body := `{"platform":"p","model":"` + strings.Repeat("A", maxBodyBytes) + `"}`
+	if w := postQuery(t, rt.Handler(), body); w.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413", w.Code)
+	}
+	if n := rep.queries.Load(); n != 0 {
+		t.Fatalf("the oversize body reached a replica (%d requests)", n)
+	}
+}

@@ -686,10 +686,13 @@ func (p *Predictor) Predict(g *onnx.Graph, platform string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if key, kerr := graphhash.GraphKey(g); kerr == nil {
-		return p.predictPlanned(uint64(key), gf, platform)
+	// Extraction built the graph's index, so the key is a memo read plus the
+	// input-shape fold, and cannot fail.
+	key, err := graphhash.GraphKey(g)
+	if err != nil {
+		return 0, err
 	}
-	return p.PredictSample(gf, platform)
+	return p.predictPlanned(uint64(key), gf, platform)
 }
 
 // PredictAllSample predicts latency on every platform head from one shared

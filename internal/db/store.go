@@ -223,18 +223,27 @@ func decodeModelRow(row Row) (*ModelRecord, bool, error) {
 	}, true, nil
 }
 
-// InsertPlatform registers a platform (idempotent on name).
+// InsertPlatform registers a platform, or returns the row already stored
+// under name: an atomic insert-or-get. Two first-ever concurrent callers both
+// miss the lookup; the unique index lets one insert through, and the other
+// reads the winner's row instead of failing. It loops rather than reads once
+// because a winner whose WAL commit fails is rolled back, and the name is
+// free again.
 func (s *Store) InsertPlatform(name, hardware, software, dataType string) (*PlatformRecord, error) {
-	if rec, ok, err := s.FindPlatformByName(name); err != nil {
-		return nil, err
-	} else if ok {
-		return rec, nil
+	for {
+		if rec, ok, err := s.FindPlatformByName(name); err != nil || ok {
+			return rec, err
+		}
+		id, err := s.db.Insert(TablePlatform, Row{uint64(0), name, hardware, software, dataType})
+		var taken *UniqueViolationError
+		if errors.As(err, &taken) {
+			continue
+		}
+		if err != nil {
+			return nil, err
+		}
+		return &PlatformRecord{ID: id, Name: name, Hardware: hardware, Software: software, DataType: dataType}, nil
 	}
-	id, err := s.db.Insert(TablePlatform, Row{uint64(0), name, hardware, software, dataType})
-	if err != nil {
-		return nil, err
-	}
-	return &PlatformRecord{ID: id, Name: name, Hardware: hardware, Software: software, DataType: dataType}, nil
 }
 
 // FindPlatformByName retrieves a platform record by its canonical name.

@@ -3,6 +3,7 @@ package db
 import (
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"nnlqp/internal/graphhash"
@@ -230,5 +231,48 @@ func TestDatabaseDelete(t *testing.T) {
 	tbl, _ := d2.Table(TablePlatform)
 	if tbl.Len() != 0 {
 		t.Fatalf("deleted row resurrected: %d rows", tbl.Len())
+	}
+}
+
+// TestInsertPlatformConcurrentFirstUse: 32 callers registering the same
+// platform on a fresh disk store — what two first-ever concurrent /query
+// requests do — all succeed and agree on one row. The check-then-insert it
+// replaces let the losers of the race fail on the unique index.
+func TestInsertPlatformConcurrentFirstUse(t *testing.T) {
+	s, err := OpenStoreWith(t.TempDir(), Options{Sync: SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const callers = 32
+	ids := make([]uint64, callers)
+	errs := make([]error, callers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			rec, err := s.InsertPlatform("gpu-T4-trt7.1-fp32", "T4", "trt7.1", "fp32")
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			ids[i] = rec.ID
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i := range ids {
+		if errs[i] != nil {
+			t.Fatalf("caller %d: %v", i, errs[i])
+		}
+		if ids[i] != ids[0] {
+			t.Fatalf("caller %d got platform id %d, caller 0 got %d", i, ids[i], ids[0])
+		}
+	}
+	if _, platforms, _ := s.Counts(); platforms != 1 {
+		t.Fatalf("%d platform rows, want 1", platforms)
 	}
 }

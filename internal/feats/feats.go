@@ -15,7 +15,6 @@
 package feats
 
 import (
-	"fmt"
 	"math"
 
 	"nnlqp/internal/onnx"
@@ -66,35 +65,42 @@ type GraphFeatures struct {
 // NumNodes returns the node count.
 func (gf *GraphFeatures) NumNodes() int { return len(gf.NodeNames) }
 
-// cachedFeats is the payload memoized on an onnx.Graph by ExtractCached.
+// cachedFeats is the payload ExtractCached hangs off a graph's index.
 type cachedFeats struct {
 	elemSize int
 	gf       *GraphFeatures
 }
 
-// ExtractCached is Extract memoized on the graph: the first call per
+// ExtractCached is Extract memoized on the graph's index: the first call per
 // (*onnx.Graph, elemSize) pays the full extraction, later calls return the
-// cached features in a single atomic load. The returned features are shared
-// and must be treated as read-only — clone (or CopyFrom) before normalizing.
+// cached features in two atomic loads. The returned features are shared and
+// must be treated as read-only — clone (or CopyFrom) before normalizing.
 // Mutating a graph after extraction requires (*onnx.Graph).InvalidateMemo.
 func ExtractCached(g *onnx.Graph, elemSize int) (*GraphFeatures, error) {
-	if v := g.FeatMemo(); v != nil {
-		if c, ok := v.(*cachedFeats); ok && c.elemSize == elemSize {
-			return c.gf, nil
-		}
+	ix, err := g.Index()
+	if err != nil {
+		return nil, err
+	}
+	if c, ok := ix.FeatMemo().(*cachedFeats); ok && c.elemSize == elemSize {
+		return c.gf, nil
 	}
 	gf, err := Extract(g, elemSize)
 	if err != nil {
 		return nil, err
 	}
-	g.SetFeatMemo(&cachedFeats{elemSize: elemSize, gf: gf})
+	ix.SetFeatMemo(&cachedFeats{elemSize: elemSize, gf: gf})
 	return gf, nil
 }
 
 // Extract computes features for a graph. elemSize sets the byte width used
 // in memory-access accounting (4 = fp32, matching the paper's use of the
-// original model's statistics).
+// original model's statistics). Row order and adjacency come from the
+// graph's index; shapes and costs are inferred from g.Inputs at call time.
 func Extract(g *onnx.Graph, elemSize int) (*GraphFeatures, error) {
+	ix, err := g.Index()
+	if err != nil {
+		return nil, err
+	}
 	shapes, err := g.InferShapes()
 	if err != nil {
 		return nil, err
@@ -103,19 +109,12 @@ func Extract(g *onnx.Graph, elemSize int) (*GraphFeatures, error) {
 	if err != nil {
 		return nil, err
 	}
-	order, err := g.TopoSort()
-	if err != nil {
-		return nil, err
-	}
-	idx := make(map[string]int, len(order))
-	for i, n := range order {
-		idx[n.Name] = i
-	}
 
+	n := ix.NumNodes()
 	gf := &GraphFeatures{
-		NodeNames: make([]string, len(order)),
-		X:         tensor.NewMatrix(len(order), FeatureDim),
-		Adj:       make([][]int, len(order)),
+		NodeNames: make([]string, n),
+		X:         tensor.NewMatrix(n, FeatureDim),
+		Adj:       make([][]int, n),
 		Static: []float64{
 			float64(g.BatchSize()),
 			math.Log1p(float64(cost.FLOPs)),
@@ -124,28 +123,46 @@ func Extract(g *onnx.Graph, elemSize int) (*GraphFeatures, error) {
 		},
 	}
 
-	for i, n := range order {
-		gf.NodeNames[i] = n.Name
-		row := gf.X.Row(i)
-		code, ok := onnx.OpCode(n.Op)
-		if !ok {
-			return nil, fmt.Errorf("feats: unknown op %q", n.Op)
-		}
-		row[code] = 1
-		fillAttr(row[NumOps:NumOps+numAttr], n)
-		fillShape(row[NumOps+numAttr:NumOps+numAttr+numShape], shapes[n.Name], elemSize)
-		nc := cost.PerNode[n.Name]
-		costRow := row[NumOps+numAttr+numShape:]
+	// row[v] is node v's row; deg[i] counts row i's neighbours, one per edge
+	// end, so the adjacency lists can share one exact-size backing array.
+	ids := make([]int32, 2*n)
+	row, deg := ids[:n], ids[n:]
+	for i, v := range ix.Topo {
+		row[v] = int32(i)
+	}
+	edges := 0
+	for i, v := range ix.Topo {
+		nd := g.Nodes[v]
+		gf.NodeNames[i] = nd.Name
+		x := gf.X.Row(i)
+		x[ix.Ops[v]] = 1
+		fillAttr(x[NumOps:NumOps+numAttr], nd)
+		fillShape(x[NumOps+numAttr:NumOps+numAttr+numShape], shapes[nd.Name], elemSize)
+		nc := cost.PerNode[nd.Name]
+		costRow := x[NumOps+numAttr+numShape:]
 		costRow[0] = math.Log1p(float64(nc.FLOPs))
 		costRow[1] = math.Log1p(float64(nc.MAC()))
 		costRow[2] = math.Log1p(float64(nc.Params))
+		for _, in := range ix.Inputs(v) {
+			if in >= 0 {
+				deg[i]++
+				deg[row[in]]++
+				edges += 2
+			}
+		}
 	}
 
-	// Undirected adjacency: for each edge producer→consumer, both nodes
-	// list each other.
-	for i, n := range order {
-		for _, in := range n.Inputs {
-			if j, ok := idx[in]; ok {
+	// Undirected adjacency: for each edge producer→consumer, in row order
+	// then input order, both nodes list each other.
+	backing := make([]int, edges)
+	for i := range gf.Adj {
+		gf.Adj[i] = backing[:0:deg[i]]
+		backing = backing[deg[i]:]
+	}
+	for i, v := range ix.Topo {
+		for _, in := range ix.Inputs(v) {
+			if in >= 0 {
+				j := int(row[in])
 				gf.Adj[i] = append(gf.Adj[i], j)
 				gf.Adj[j] = append(gf.Adj[j], i)
 			}

@@ -211,3 +211,47 @@ func TestCloneIndependence(t *testing.T) {
 		t.Fatal("clone shares storage")
 	}
 }
+
+// TestAdjacencyOrderFollowsIndex pins the neighbour order the GNN's mean
+// aggregation sums in: rows follow the index's topological order, and for
+// each row in turn, each producing input in declaration order lists the two
+// rows under each other — repeated edges twice, graph inputs never.
+func TestAdjacencyOrderFollowsIndex(t *testing.T) {
+	b := onnx.NewBuilder("t", "Test", onnx.Shape{1, 8, 8, 8})
+	c := b.Conv(b.Input(), 8, 3, 1, 1, 1)
+	twice := b.AddTensors(c, c)
+	small := b.MustFinish(b.MulTensors(b.Sigmoid(twice), c))
+	for _, g := range []*onnx.Graph{small, models.BuildGoogleNet(models.BaseGoogleNet(1)), models.BuildUnrolledRNN(models.BaseRNN(2))} {
+		gf := extract(t, g)
+		ix, err := g.Index()
+		if err != nil {
+			t.Fatal(err)
+		}
+		row := make(map[string]int)
+		for i, v := range ix.Topo {
+			if gf.NodeNames[i] != g.Nodes[v].Name {
+				t.Fatalf("%s: row %d is %s, index order says %s", g.Name, i, gf.NodeNames[i], g.Nodes[v].Name)
+			}
+			row[gf.NodeNames[i]] = i
+		}
+		want := make([][]int, len(g.Nodes))
+		for i, v := range ix.Topo {
+			for _, in := range g.Nodes[v].Inputs {
+				if j, ok := row[in]; ok {
+					want[i] = append(want[i], j)
+					want[j] = append(want[j], i)
+				}
+			}
+		}
+		for i := range want {
+			if len(want[i]) != len(gf.Adj[i]) {
+				t.Fatalf("%s: row %d has neighbours %v, want %v", g.Name, i, gf.Adj[i], want[i])
+			}
+			for k := range want[i] {
+				if want[i][k] != gf.Adj[i][k] {
+					t.Fatalf("%s: row %d has neighbours %v, want %v", g.Name, i, gf.Adj[i], want[i])
+				}
+			}
+		}
+	}
+}

@@ -17,13 +17,19 @@
 // fingerprint. As an extension over the paper we also fold the declared
 // graph input shapes into H_G: the same topology at a different input
 // resolution has different latency, so it must be a different cache line.
+//
+// The walk runs over the graph's onnx.Index (int32 ids, CSR consumer lists,
+// canonical attribute bytes) with pooled scratch. Keys are persisted in the
+// database, so every byte of the f_hash input is frozen: the reference
+// implementation and golden keys in this package's tests pin it.
 package graphhash
 
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
-	"sort"
+	"slices"
+	"strconv"
+	"sync"
 
 	"nnlqp/internal/onnx"
 )
@@ -51,79 +57,110 @@ func KeyFromBytes(b []byte) (Key, error) {
 	return Key(binary.BigEndian.Uint64(b)), nil
 }
 
-// f_hash: FNV-1a over a byte string, yielding the 64-bit node/graph code.
-func fhash(parts ...[]byte) Key {
-	h := fnv.New64a()
-	for _, p := range parts {
-		h.Write(p)
+// f_hash is FNV-1a, folded inline so node and graph codes stream through a
+// running 64-bit state instead of a hash.Hash64 and per-part byte slices.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+func foldBytes(h uint64, p []byte) uint64 {
+	for _, b := range p {
+		h = (h ^ uint64(b)) * fnvPrime
 	}
-	return Key(h.Sum64())
+	return h
 }
 
-// nodeAttrBytes is f_sort(A_v): the canonical (sorted-key) rendering of the
-// node's operator type and attributes.
-func nodeAttrBytes(n *onnx.Node) []byte {
-	return []byte(string(n.Op) + "{" + n.Attrs.Canonical() + "}")
+// foldKey folds k's big-endian bytes, the form Key.Bytes renders.
+func foldKey(h, k uint64) uint64 {
+	for shift := 56; shift >= 0; shift -= 8 {
+		h = (h ^ (k >> uint(shift) & 0xff)) * fnvPrime
+	}
+	return h
 }
 
-// Hash computes the whole-graph key H_G together with every node's H_v.
-func Hash(g *onnx.Graph) (Key, map[string]Key, error) {
-	rev, err := g.ReverseTopoSort()
-	if err != nil {
-		return 0, nil, err
+// scratch is one hash walk's working memory, recycled through pool.
+type scratch struct {
+	node []uint64 // H_v by node id
+	sort []uint64 // the f_sort operand being assembled
+}
+
+var pool = sync.Pool{New: func() any { return new(scratch) }}
+
+// topologyState walks the index in reverse topological order, so every
+// consumer's H_v exists before it is folded into its producers (Eq. 1), and
+// returns the FNV state of H_G after the sorted source-node hashes (Eq. 2) —
+// everything about the key that topology and attributes determine.
+func topologyState(ix *onnx.Index) uint64 {
+	sc := pool.Get().(*scratch)
+	n := ix.NumNodes()
+	if cap(sc.node) < n {
+		sc.node = make([]uint64, n)
 	}
-	succ := g.Successors()
-	nodeHash := make(map[string]Key, len(rev))
-	for _, n := range rev {
-		// f_sort({H_u | u ∈ Suc(v)}): successor hashes in ascending order.
-		sucKeys := make([]Key, 0, len(succ[n.Name]))
-		for _, s := range succ[n.Name] {
-			h, ok := nodeHash[s]
-			if !ok {
-				return 0, nil, fmt.Errorf("graphhash: successor %q of %q not yet hashed; order violated", s, n.Name)
-			}
-			sucKeys = append(sucKeys, h)
+	node := sc.node[:n]
+	for i := n - 1; i >= 0; i-- {
+		v := ix.Topo[i]
+		h := foldBytes(fnvOffset, ix.AttrBytes(v))
+		keys := sc.sort[:0]
+		for _, c := range ix.Consumers(v) {
+			keys = append(keys, node[c])
 		}
-		sort.Slice(sucKeys, func(i, j int) bool { return sucKeys[i] < sucKeys[j] })
-		parts := [][]byte{nodeAttrBytes(n)}
-		for _, k := range sucKeys {
-			parts = append(parts, k.Bytes())
+		slices.Sort(keys)
+		for _, k := range keys {
+			h = foldKey(h, k)
 		}
-		nodeHash[n.Name] = fhash(parts...)
+		sc.sort = keys
+		node[v] = h
 	}
-
-	// H_G over source-node hashes (sorted), plus declared input shapes.
-	srcs := g.SourceNodes()
-	srcKeys := make([]Key, 0, len(srcs))
-	for _, s := range srcs {
-		srcKeys = append(srcKeys, nodeHash[s.Name])
+	keys := sc.sort[:0]
+	for v := int32(0); int(v) < n; v++ {
+		src := true
+		for _, in := range ix.Inputs(v) {
+			src = src && in < 0
+		}
+		if src {
+			keys = append(keys, node[v])
+		}
 	}
-	sort.Slice(srcKeys, func(i, j int) bool { return srcKeys[i] < srcKeys[j] })
-	var parts [][]byte
-	for _, k := range srcKeys {
-		parts = append(parts, k.Bytes())
+	slices.Sort(keys)
+	h := uint64(fnvOffset)
+	for _, k := range keys {
+		h = foldKey(h, k)
 	}
-	for _, vi := range g.Inputs {
-		parts = append(parts, []byte("in:"+vi.Shape.String()))
-	}
-	return fhash(parts...), nodeHash, nil
+	sc.sort = keys
+	pool.Put(sc)
+	return h
 }
 
-// GraphKey computes just the whole-graph key. The key is memoized on the
-// graph itself: the first call pays the reverse-topological traversal, every
-// later call on the same *onnx.Graph is a single atomic load. Code that
-// mutates a graph after hashing must call (*onnx.Graph).InvalidateMemo, or
-// the stale key will keep being served.
+// GraphKey computes the whole-graph key. The topology-and-attribute part is
+// computed once per graph instance and kept on the graph's Index; the declared
+// input shapes are folded in on every call, because callers rewrite the batch
+// dimension of a decoded graph in place. Code that mutates nodes or
+// attributes after hashing must call (*onnx.Graph).InvalidateMemo, or the
+// stale key will keep being served.
 func GraphKey(g *onnx.Graph) (Key, error) {
-	if h, ok := g.HashMemo(); ok {
-		return Key(h), nil
-	}
-	k, _, err := Hash(g)
+	ix, err := g.Index()
 	if err != nil {
 		return 0, err
 	}
-	g.SetHashMemo(uint64(k))
-	return k, nil
+	h := ix.HashMemo()
+	if h == 0 {
+		// A state of exactly 0 is recomputed on every call, which is only slow.
+		h = topologyState(ix)
+		ix.SetHashMemo(h)
+	}
+	var dim [20]byte
+	for i := range g.Inputs {
+		h = foldBytes(h, []byte("in:("))
+		for j, d := range g.Inputs[i].Shape {
+			if j > 0 {
+				h = (h ^ ',') * fnvPrime
+			}
+			h = foldBytes(h, strconv.AppendInt(dim[:0], int64(d), 10))
+		}
+		h = (h ^ ')') * fnvPrime
+	}
+	return Key(h), nil
 }
 
 // MustGraphKey is GraphKey for graphs whose validity is a code invariant.

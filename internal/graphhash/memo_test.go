@@ -6,17 +6,28 @@ import (
 	"nnlqp/internal/onnx"
 )
 
+func hashMemo(t *testing.T, g *onnx.Graph) uint64 {
+	t.Helper()
+	ix, err := g.Index()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix.HashMemo()
+}
+
 // TestGraphKeyMemoized pins the memo contract: the first GraphKey call
-// stores the hash on the graph, later calls serve it without recomputation,
-// and InvalidateMemo forces a recompute that observes mutations.
+// stores the topology hash state on the graph's index, later calls serve it
+// without another walk, and InvalidateMemo forces a recompute that observes
+// mutations.
 func TestGraphKeyMemoized(t *testing.T) {
 	g := chain("memo", 16, 32)
-	if _, ok := g.HashMemo(); ok {
+	if hashMemo(t, g) != 0 {
 		t.Fatal("fresh graph must not carry a hash memo")
 	}
 	k1 := MustGraphKey(g)
-	if h, ok := g.HashMemo(); !ok || Key(h) != k1 {
-		t.Fatalf("memo after GraphKey = (%x, %v), want (%x, true)", h, ok, uint64(k1))
+	m1 := hashMemo(t, g)
+	if m1 == 0 {
+		t.Fatal("GraphKey left no memo on the index")
 	}
 	if k2 := MustGraphKey(g); k2 != k1 {
 		t.Fatalf("memoized key %s != first key %s", k2, k1)
@@ -34,9 +45,9 @@ func TestGraphKeyMemoized(t *testing.T) {
 	if k3 == k1 {
 		t.Fatal("post-invalidation key must reflect the mutation")
 	}
-	// And the recomputed key is memoized again.
-	if h, ok := g.HashMemo(); !ok || Key(h) != k3 {
-		t.Fatalf("memo after recompute = (%x, %v), want (%x, true)", h, ok, uint64(k3))
+	// And the recomputed state is memoized again.
+	if m3 := hashMemo(t, g); m3 == 0 || m3 == m1 {
+		t.Fatalf("memo after recompute = %x, was %x", m3, m1)
 	}
 }
 
@@ -46,7 +57,7 @@ func TestGraphKeyMemoDroppedByClone(t *testing.T) {
 	g := chain("parent", 16)
 	k := MustGraphKey(g)
 	c := g.Clone()
-	if _, ok := c.HashMemo(); ok {
+	if hashMemo(t, c) != 0 {
 		t.Fatal("clone must not inherit the hash memo")
 	}
 	if ck := MustGraphKey(c); ck != k {

@@ -1,6 +1,7 @@
 package hwsim
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -41,115 +42,125 @@ func absorbable(op onnx.OpType) bool {
 // paper's Appendix D taxonomy (Conv, Conv+Relu, Conv+Add, Conv+Add+Relu,
 // Conv+Clip, Sigmoid+Mul, plus one family per remaining standalone op).
 func Kernelize(g *onnx.Graph) ([]*Kernel, error) {
-	order, err := g.TopoSort()
+	ix, err := g.Index()
 	if err != nil {
 		return nil, err
 	}
-	byName := make(map[string]*onnx.Node, len(order))
-	for _, n := range order {
-		byName[n.Name] = n
-	}
-	succ := g.Successors()
-	outputs := make(map[string]bool, len(g.Outputs))
-	for _, o := range g.Outputs {
-		outputs[o] = true
-	}
-	assigned := make(map[string]bool, len(order))
-
-	// soleConsumer returns the unique consumer of tensor name, or nil when
-	// it has 0 or >1 consumers or is a graph output (graph outputs must be
-	// materialized, so fusion stops there).
-	soleConsumer := func(name string) *onnx.Node {
-		if outputs[name] {
-			return nil
+	n := ix.NumNodes()
+	isOutput := make([]bool, n)
+	for _, o := range ix.Outputs {
+		if o >= 0 {
+			isOutput[o] = true
 		}
-		ss := succ[name]
-		if len(ss) != 1 {
-			return nil
-		}
-		return byName[ss[0]]
+	}
+	// kernelOf[v] is the index of the kernel node v landed in, or -1.
+	kernelOf := make([]int32, n)
+	for i := range kernelOf {
+		kernelOf[i] = -1
 	}
 
-	// absorbTail greedily appends absorbable ops following tensor `tail`.
+	// soleConsumer returns the unique consumer of node v's output, or -1
+	// when it has 0 or >1 consuming edges or is a graph output (graph
+	// outputs must be materialized, so fusion stops there).
+	soleConsumer := func(v int32) int32 {
+		if cs := ix.Consumers(v); len(cs) == 1 && !isOutput[v] {
+			return cs[0]
+		}
+		return -1
+	}
+
 	var kernels []*Kernel
-	absorbTail := func(k *Kernel, tail string) string {
+	var members [][]int32 // node ids of each kernel, parallel to kernels
+	add := func(k *Kernel, v int32) {
+		k.Nodes = append(k.Nodes, g.Nodes[v])
+		kernelOf[v] = int32(len(kernels))
+		members[len(kernels)] = append(members[len(kernels)], v)
+	}
+	// absorbTail greedily appends absorbable ops following node tail.
+	absorbTail := func(k *Kernel, tail int32) int32 {
 		for {
 			c := soleConsumer(tail)
-			if c == nil || !absorbable(c.Op) || assigned[c.Name] {
+			if c < 0 || !absorbable(g.Nodes[c].Op) || kernelOf[c] >= 0 {
 				return tail
 			}
-			k.Nodes = append(k.Nodes, c)
-			assigned[c.Name] = true
-			tail = c.Name
+			add(k, c)
+			tail = c
 		}
 	}
+	// free reports whether c is an unassigned node running one of ops.
+	free := func(c int32, ops ...onnx.OpType) bool {
+		if c < 0 || kernelOf[c] >= 0 {
+			return false
+		}
+		for _, op := range ops {
+			if g.Nodes[c].Op == op {
+				return true
+			}
+		}
+		return false
+	}
 
-	for _, n := range order {
-		if assigned[n.Name] {
+	for _, v := range ix.Topo {
+		if kernelOf[v] >= 0 {
 			continue
 		}
-		k := &Kernel{Nodes: []*onnx.Node{n}}
-		assigned[n.Name] = true
-		var famOps []string
-		famOps = append(famOps, string(n.Op))
-		tail := absorbTail(k, n.Name)
+		nd := g.Nodes[v]
+		k := &Kernel{}
+		members = append(members, nil)
+		add(k, v)
+		famOps := []string{string(nd.Op)}
+		tail := absorbTail(k, v)
 
-		switch n.Op {
+		switch nd.Op {
 		case onnx.OpConv:
 			c := soleConsumer(tail)
-			if c != nil && c.Op == onnx.OpAdd && !assigned[c.Name] {
+			if free(c, onnx.OpAdd) {
 				// Residual: the other Add input must already be available
 				// (produced by an earlier kernel), which topological order
 				// guarantees for everything except self-references.
-				k.Nodes = append(k.Nodes, c)
-				assigned[c.Name] = true
+				add(k, c)
 				famOps = append(famOps, "Add")
-				tail = absorbTail(k, c.Name)
+				tail = absorbTail(k, c)
 				c = soleConsumer(tail)
 			}
-			if c != nil && (c.Op == onnx.OpRelu || c.Op == onnx.OpClip) && !assigned[c.Name] {
-				k.Nodes = append(k.Nodes, c)
-				assigned[c.Name] = true
-				famOps = append(famOps, string(c.Op))
-				tail = absorbTail(k, c.Name)
+			if free(c, onnx.OpRelu, onnx.OpClip) {
+				add(k, c)
+				famOps = append(famOps, string(g.Nodes[c].Op))
+				tail = absorbTail(k, c)
 			}
 		case onnx.OpSigmoid, onnx.OpHardSigmoid:
 			c := soleConsumer(tail)
-			if c != nil && c.Op == onnx.OpMul && !assigned[c.Name] {
+			if free(c, onnx.OpMul) {
 				// Require the swish pattern: Mul's other input equals the
 				// activation's own input.
-				other := ""
-				for _, in := range c.Inputs {
+				other, found := int32(0), false
+				for _, in := range ix.Inputs(c) {
 					if in != tail {
-						other = in
+						other, found = in, true
 					}
 				}
-				if other != "" && other == n.Inputs[0] {
-					k.Nodes = append(k.Nodes, c)
-					assigned[c.Name] = true
+				if found && other == ix.Inputs(v)[0] {
+					add(k, c)
 					famOps = []string{"Sigmoid", "Mul"} // canonical family name
-					tail = absorbTail(k, c.Name)
+					tail = absorbTail(k, c)
 				}
 			}
 		}
 
 		k.Family = strings.Join(famOps, "+")
-		k.Output = tail
+		k.Output = g.Nodes[tail].Name
 		kernels = append(kernels, k)
 	}
 
-	// Compute external inputs per kernel.
-	for _, k := range kernels {
-		inKernel := make(map[string]bool, len(k.Nodes))
-		for _, n := range k.Nodes {
-			inKernel[n.Name] = true
-		}
-		seen := make(map[string]bool)
-		for _, n := range k.Nodes {
-			for _, in := range n.Inputs {
-				if !inKernel[in] && !seen[in] {
-					seen[in] = true
-					k.Inputs = append(k.Inputs, in)
+	// External inputs per kernel: every tensor read from outside it, once.
+	for ki, k := range kernels {
+		for _, v := range members[ki] {
+			for j, in := range ix.Inputs(v) {
+				if in >= 0 && kernelOf[in] == int32(ki) {
+					continue
+				}
+				if name := g.Nodes[v].Inputs[j]; !slices.Contains(k.Inputs, name) {
+					k.Inputs = append(k.Inputs, name)
 				}
 			}
 		}

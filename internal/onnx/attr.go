@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"strings"
 )
 
 // AttrKind discriminates the value stored in an Attr.
@@ -82,22 +81,29 @@ func (a Attr) Equal(b Attr) bool {
 }
 
 // String renders the attribute value in a canonical, hash-stable form.
-func (a Attr) String() string {
+func (a Attr) String() string { return string(a.appendValue(nil)) }
+
+// appendValue appends the canonical rendering of the value to dst. The bytes
+// feed the persisted graph hash, so the formats are frozen.
+func (a Attr) appendValue(dst []byte) []byte {
 	switch a.Kind {
 	case AttrInt:
-		return strconv.FormatInt(a.I, 10)
+		return strconv.AppendInt(dst, a.I, 10)
 	case AttrInts:
-		parts := make([]string, len(a.Ints))
+		dst = append(dst, '[')
 		for i, v := range a.Ints {
-			parts[i] = strconv.FormatInt(v, 10)
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = strconv.AppendInt(dst, v, 10)
 		}
-		return "[" + strings.Join(parts, ",") + "]"
+		return append(dst, ']')
 	case AttrFloat:
-		return strconv.FormatFloat(a.F, 'g', -1, 64)
+		return strconv.AppendFloat(dst, a.F, 'g', -1, 64)
 	case AttrString:
-		return strconv.Quote(a.S)
+		return strconv.AppendQuote(dst, a.S)
 	default:
-		return "<invalid>"
+		return append(dst, "<invalid>"...)
 	}
 }
 
@@ -166,18 +172,35 @@ func (as Attrs) SortedKeys() []string {
 // Canonical renders the full attribute map as a single canonical string,
 // e.g. `kernel_shape=[3,3];strides=[1,1]`. Used by the graph hash (Eq. 1 of
 // the paper: f_sort over node attributes).
-func (as Attrs) Canonical() string {
-	keys := as.SortedKeys()
-	var sb strings.Builder
-	for i, k := range keys {
-		if i > 0 {
-			sb.WriteByte(';')
-		}
-		sb.WriteString(k)
-		sb.WriteByte('=')
-		sb.WriteString(as[k].String())
+func (as Attrs) Canonical() string { return string(as.AppendCanonical(nil)) }
+
+// AppendCanonical appends the Canonical rendering to dst without building
+// intermediate strings.
+func (as Attrs) AppendCanonical(dst []byte) []byte {
+	if len(as) == 0 {
+		return dst
 	}
-	return sb.String()
+	type entry struct {
+		key string
+		a   Attr
+	}
+	var stack [8]entry // operators carry at most a handful of attributes
+	sorted := stack[:0]
+	for k, a := range as {
+		sorted = append(sorted, entry{k, a})
+		for i := len(sorted) - 1; i > 0 && sorted[i].key < sorted[i-1].key; i-- {
+			sorted[i], sorted[i-1] = sorted[i-1], sorted[i]
+		}
+	}
+	for i := range sorted {
+		if i > 0 {
+			dst = append(dst, ';')
+		}
+		dst = append(dst, sorted[i].key...)
+		dst = append(dst, '=')
+		dst = sorted[i].a.appendValue(dst)
+	}
+	return dst
 }
 
 // Equal reports whether two attribute maps are identical.

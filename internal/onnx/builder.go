@@ -203,6 +203,9 @@ func (b *Builder) Finish(outputs ...string) (*Graph, error) {
 	if _, err := b.g.InferShapes(); err != nil {
 		return nil, err
 	}
+	// Callers routinely edit attributes of a finished graph before first
+	// use; hand it over without derived state so those edits are seen.
+	b.g.InvalidateMemo()
 	return b.g, nil
 }
 

@@ -2,7 +2,6 @@ package onnx
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 )
 
@@ -133,50 +132,19 @@ type Graph struct {
 	Nodes   []*Node
 	Outputs []string
 
-	// memoHash/memoFeat cache expensive derived values (the structural graph
-	// hash, extracted predictor features) on the graph itself so hot serving
-	// paths compute them once per graph instance instead of once per call.
-	// The memo is never serialized, is dropped by Clone, and must be cleared
-	// with InvalidateMemo by any code that mutates a graph after sharing it.
-	memoHash atomic.Pointer[uint64]
-	memoFeat atomic.Pointer[any]
-	// memoValid records that Validate succeeded on this instance, so serving
-	// paths re-validating the same shared graph skip the structural walk.
-	memoValid atomic.Bool
+	// derived is the one slot for state computed from the graph: its Index
+	// and what other packages hang off it (graph-hash state, extracted
+	// features). It is never serialized, is dropped by Clone, and must be
+	// cleared with InvalidateMemo by any code that mutates topology or
+	// attributes after first use.
+	derived atomic.Pointer[Index]
 }
-
-// HashMemo returns the cached structural graph hash, if one has been set
-// since the last InvalidateMemo.
-func (g *Graph) HashMemo() (uint64, bool) {
-	if p := g.memoHash.Load(); p != nil {
-		return *p, true
-	}
-	return 0, false
-}
-
-// SetHashMemo caches the structural graph hash on the graph.
-func (g *Graph) SetHashMemo(h uint64) { g.memoHash.Store(&h) }
-
-// FeatMemo returns the cached feature payload (owned by internal/feats;
-// opaque here), or nil.
-func (g *Graph) FeatMemo() any {
-	if p := g.memoFeat.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
-// SetFeatMemo caches an opaque feature payload on the graph.
-func (g *Graph) SetFeatMemo(v any) { g.memoFeat.Store(&v) }
 
 // InvalidateMemo drops all cached derived state. Call it after mutating a
-// graph (topology, attributes or input shapes) that may already have been
-// hashed or feature-extracted.
-func (g *Graph) InvalidateMemo() {
-	g.memoHash.Store(nil)
-	g.memoFeat.Store(nil)
-	g.memoValid.Store(false)
-}
+// graph's nodes, attributes or outputs once it may have been validated,
+// hashed, shape-inferred or feature-extracted, and after changing input
+// shapes once it may have been feature-extracted.
+func (g *Graph) InvalidateMemo() { g.derived.Store(nil) }
 
 // Clone deep-copies the graph.
 func (g *Graph) Clone() *Graph {
@@ -209,156 +177,17 @@ func (g *Graph) Node(name string) *Node {
 	return nil
 }
 
-// isGraphInput reports whether name refers to a declared graph input.
-func (g *Graph) isGraphInput(name string) bool {
-	for _, vi := range g.Inputs {
-		if vi.Name == name {
-			return true
-		}
-	}
-	return false
-}
-
-// Successors returns, for each node name, the names of nodes that consume
-// its output, in deterministic order.
-func (g *Graph) Successors() map[string][]string {
-	succ := make(map[string][]string, len(g.Nodes))
-	for _, n := range g.Nodes {
-		succ[n.Name] = nil
-	}
-	for _, n := range g.Nodes {
-		for _, in := range n.Inputs {
-			if _, ok := succ[in]; ok {
-				succ[in] = append(succ[in], n.Name)
-			}
-		}
-	}
-	for k := range succ {
-		sort.Strings(succ[k])
-	}
-	return succ
-}
-
-// Predecessors returns, for each node name, the names of producer nodes it
-// consumes (graph inputs excluded), in deterministic order.
-func (g *Graph) Predecessors() map[string][]string {
-	byName := make(map[string]*Node, len(g.Nodes))
-	for _, n := range g.Nodes {
-		byName[n.Name] = n
-	}
-	pred := make(map[string][]string, len(g.Nodes))
-	for _, n := range g.Nodes {
-		var ps []string
-		for _, in := range n.Inputs {
-			if _, ok := byName[in]; ok {
-				ps = append(ps, in)
-			}
-		}
-		sort.Strings(ps)
-		pred[n.Name] = ps
-	}
-	return pred
-}
-
-// SourceNodes returns the nodes with no predecessor operators (i.e. fed only
-// by graph inputs), in deterministic order. These are the Pre(u)=∅ nodes of
-// Eq. 2 in the paper.
-func (g *Graph) SourceNodes() []*Node {
-	pred := g.Predecessors()
-	var out []*Node
-	for _, n := range g.Nodes {
-		if len(pred[n.Name]) == 0 {
-			out = append(out, n)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// TopoSort returns the nodes in a deterministic topological order
-// (producers before consumers), or an error if the graph has a cycle.
-func (g *Graph) TopoSort() ([]*Node, error) {
-	byName := make(map[string]*Node, len(g.Nodes))
-	for _, n := range g.Nodes {
-		byName[n.Name] = n
-	}
-	indeg := make(map[string]int, len(g.Nodes))
-	succ := make(map[string][]string, len(g.Nodes))
-	for _, n := range g.Nodes {
-		for _, in := range n.Inputs {
-			if _, ok := byName[in]; ok {
-				indeg[n.Name]++
-				succ[in] = append(succ[in], n.Name)
-			}
-		}
-	}
-	var ready []string
-	for _, n := range g.Nodes {
-		if indeg[n.Name] == 0 {
-			ready = append(ready, n.Name)
-		}
-	}
-	sort.Strings(ready)
-	out := make([]*Node, 0, len(g.Nodes))
-	for len(ready) > 0 {
-		name := ready[0]
-		ready = ready[1:]
-		out = append(out, byName[name])
-		next := succ[name]
-		sort.Strings(next)
-		var unlocked []string
-		for _, s := range next {
-			indeg[s]--
-			if indeg[s] == 0 {
-				unlocked = append(unlocked, s)
-			}
-		}
-		if len(unlocked) > 0 {
-			ready = append(ready, unlocked...)
-			sort.Strings(ready)
-		}
-	}
-	if len(out) != len(g.Nodes) {
-		return nil, fmt.Errorf("onnx: graph %q contains a cycle", g.Name)
-	}
-	return out, nil
-}
-
-// ReverseTopoSort returns nodes in reverse topological order (consumers
-// before producers), the traversal order required by the graph hash (Eq. 1).
-func (g *Graph) ReverseTopoSort() ([]*Node, error) {
-	fwd, err := g.TopoSort()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*Node, len(fwd))
-	for i, n := range fwd {
-		out[len(fwd)-1-i] = n
-	}
-	return out, nil
-}
-
 // Validate checks structural well-formedness: unique names, resolvable
-// inputs, known operators, at least one declared input and output, and
-// acyclicity.
+// inputs, known operators, at least one declared input and output,
+// acyclicity, and positive declared input shapes. The structural part is the
+// Index build, so it runs once per graph instance; input shapes are checked
+// on every call because callers may rewrite them without InvalidateMemo.
 func (g *Graph) Validate() error {
-	if g.memoValid.Load() {
-		return nil
+	if _, err := g.Index(); err != nil {
+		return err
 	}
-	if len(g.Inputs) == 0 {
-		return fmt.Errorf("onnx: graph %q has no inputs", g.Name)
-	}
-	if len(g.Outputs) == 0 {
-		return fmt.Errorf("onnx: graph %q has no outputs", g.Name)
-	}
-	seen := make(map[string]bool, len(g.Nodes)+len(g.Inputs))
-	for _, vi := range g.Inputs {
-		if vi.Name == "" {
-			return fmt.Errorf("onnx: graph %q has an unnamed input", g.Name)
-		}
-		if seen[vi.Name] {
-			return fmt.Errorf("onnx: duplicate input name %q", vi.Name)
-		}
+	for i := range g.Inputs {
+		vi := &g.Inputs[i]
 		if len(vi.Shape) == 0 {
 			return fmt.Errorf("onnx: input %q has no shape", vi.Name)
 		}
@@ -367,39 +196,7 @@ func (g *Graph) Validate() error {
 				return fmt.Errorf("onnx: input %q has non-positive dim in %v", vi.Name, vi.Shape)
 			}
 		}
-		seen[vi.Name] = true
 	}
-	for _, n := range g.Nodes {
-		if n.Name == "" {
-			return fmt.Errorf("onnx: graph %q has an unnamed node", g.Name)
-		}
-		if seen[n.Name] {
-			return fmt.Errorf("onnx: duplicate tensor name %q", n.Name)
-		}
-		seen[n.Name] = true
-		if _, ok := OpCode(n.Op); !ok {
-			return fmt.Errorf("onnx: node %q has unknown op %q", n.Name, n.Op)
-		}
-		if len(n.Inputs) == 0 {
-			return fmt.Errorf("onnx: node %q has no inputs", n.Name)
-		}
-	}
-	for _, n := range g.Nodes {
-		for _, in := range n.Inputs {
-			if !seen[in] {
-				return fmt.Errorf("onnx: node %q consumes undefined tensor %q", n.Name, in)
-			}
-		}
-	}
-	for _, out := range g.Outputs {
-		if !seen[out] {
-			return fmt.Errorf("onnx: graph output %q is undefined", out)
-		}
-	}
-	if _, err := g.TopoSort(); err != nil {
-		return err
-	}
-	g.memoValid.Store(true)
 	return nil
 }
 

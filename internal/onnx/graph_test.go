@@ -73,75 +73,122 @@ func TestValidateRejectsCycle(t *testing.T) {
 	}
 }
 
+func mustIndex(t testing.TB, g *Graph) *Index {
+	t.Helper()
+	ix, err := g.Index()
+	if err != nil {
+		t.Fatalf("Index: %v", err)
+	}
+	return ix
+}
+
 func TestTopoSortOrdersProducersFirst(t *testing.T) {
 	g := smallResidual(t)
-	order, err := g.TopoSort()
-	if err != nil {
-		t.Fatalf("TopoSort: %v", err)
+	ix := mustIndex(t, g)
+	pos := make([]int, len(g.Nodes))
+	for i, v := range ix.Topo {
+		pos[v] = i
 	}
-	pos := make(map[string]int, len(order))
-	for i, n := range order {
-		pos[n.Name] = i
-	}
-	for _, n := range g.Nodes {
-		for _, in := range n.Inputs {
-			if p, ok := pos[in]; ok && p >= pos[n.Name] {
-				t.Errorf("node %s at %d consumes %s at %d", n.Name, pos[n.Name], in, p)
+	for v := range g.Nodes {
+		for _, in := range ix.Inputs(int32(v)) {
+			if in >= 0 && pos[in] >= pos[v] {
+				t.Errorf("node %s at %d consumes %s at %d", g.Nodes[v].Name, pos[v], g.Nodes[in].Name, pos[in])
 			}
 		}
 	}
 }
 
+// TestTopoSortDeterministic: the order is a function of the graph, equal to
+// the name-keyed reference on every rebuild and under node permutation.
 func TestTopoSortDeterministic(t *testing.T) {
 	g := smallResidual(t)
-	a, _ := g.TopoSort()
+	want, err := RefTopoSort(g)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 10; i++ {
-		b, _ := g.TopoSort()
-		for j := range a {
-			if a[j].Name != b[j].Name {
-				t.Fatalf("order differs at %d: %s vs %s", j, a[j].Name, b[j].Name)
+		g.InvalidateMemo()
+		g.Nodes[i%len(g.Nodes)], g.Nodes[0] = g.Nodes[0], g.Nodes[i%len(g.Nodes)]
+		ix := mustIndex(t, g)
+		for j, v := range ix.Topo {
+			if g.Nodes[v] != want[j] {
+				t.Fatalf("rebuild %d: order differs at %d: %s vs %s", i, j, g.Nodes[v].Name, want[j].Name)
 			}
 		}
 	}
 }
 
+// TestReverseTopoSort: walking Topo backwards, the traversal the graph hash
+// needs (Eq. 1), meets every consumer before its producers.
 func TestReverseTopoSort(t *testing.T) {
 	g := smallResidual(t)
-	fwd, _ := g.TopoSort()
-	rev, err := g.ReverseTopoSort()
-	if err != nil {
-		t.Fatalf("ReverseTopoSort: %v", err)
-	}
-	for i := range fwd {
-		if fwd[i].Name != rev[len(rev)-1-i].Name {
-			t.Fatalf("reverse order mismatch at %d", i)
+	ix := mustIndex(t, g)
+	done := make([]bool, len(g.Nodes))
+	for i := len(ix.Topo) - 1; i >= 0; i-- {
+		v := ix.Topo[i]
+		for _, c := range ix.Consumers(v) {
+			if !done[c] {
+				t.Fatalf("%s visited before its consumer %s", g.Nodes[v].Name, g.Nodes[c].Name)
+			}
 		}
+		done[v] = true
 	}
 }
 
 func TestSuccessorsPredecessors(t *testing.T) {
 	g := smallResidual(t)
-	succ := g.Successors()
-	pred := g.Predecessors()
+	ix := mustIndex(t, g)
+	id := func(name string) int32 {
+		for i, n := range g.Nodes {
+			if n.Name == name {
+				return int32(i)
+			}
+		}
+		t.Fatalf("no node %s", name)
+		return -1
+	}
 	// relu1 feeds conv2 and the Add.
-	if got := succ["Relu_1"]; len(got) != 2 {
-		t.Fatalf("Relu_1 successors = %v, want 2 entries", got)
+	if got := ix.Consumers(id("Relu_1")); len(got) != 2 {
+		t.Fatalf("Relu_1 consumers = %v, want 2 entries", got)
 	}
-	// Add has two predecessors.
-	if got := pred["Add_1"]; len(got) != 2 {
-		t.Fatalf("Add_1 predecessors = %v, want 2 entries", got)
+	// Add reads two producer nodes, in declaration order.
+	if got := ix.Inputs(id("Add_1")); len(got) != 2 || got[0] != id("Conv_2") || got[1] != id("Relu_1") {
+		t.Fatalf("Add_1 inputs = %v, want [Conv_2 Relu_1]", got)
 	}
-	// conv1 reads only the graph input, so it has no predecessors.
-	if got := pred["Conv_1"]; len(got) != 0 {
-		t.Fatalf("Conv_1 predecessors = %v, want none", got)
+	// conv1 reads only graph input 0.
+	if got := ix.Inputs(id("Conv_1")); len(got) != 1 || got[0] != ^int32(0) {
+		t.Fatalf("Conv_1 inputs = %v, want [^0]", got)
+	}
+	if len(ix.Outputs) != 1 || ix.Outputs[0] != id("Gemm_1") {
+		t.Fatalf("Outputs = %v, want [Gemm_1]", ix.Outputs)
 	}
 }
 
+// TestSourceNodes: a repeated edge keeps its multiplicity (Add(x, x) is two
+// consumers of x), and the Pre(u)=∅ nodes of Eq. 2 are those with no
+// producer among their inputs.
 func TestSourceNodes(t *testing.T) {
-	g := smallResidual(t)
-	srcs := g.SourceNodes()
-	if len(srcs) != 1 || srcs[0].Name != "Conv_1" {
-		t.Fatalf("SourceNodes = %v, want [Conv_1]", srcs)
+	b := NewBuilder("twice", "Test", Shape{1, 4, 8, 8})
+	l := b.Relu(b.Input())
+	r := b.Sigmoid(b.Input())
+	g := b.MustFinish(b.AddTensors(l, l), r)
+	ix := mustIndex(t, g)
+	if got := ix.Consumers(0); len(got) != 2 || got[0] != 2 || got[1] != 2 {
+		t.Fatalf("consumers of %s = %v, want Add_1 twice", g.Nodes[0].Name, got)
+	}
+	var srcs []string
+	for v := range g.Nodes {
+		src := true
+		for _, in := range ix.Inputs(int32(v)) {
+			src = src && in < 0
+		}
+		if src {
+			srcs = append(srcs, g.Nodes[v].Name)
+		}
+	}
+	want := RefSourceNodes(g)
+	if len(srcs) != 2 || len(want) != 2 || srcs[0] != want[0].Name || srcs[1] != want[1].Name {
+		t.Fatalf("source nodes = %v, reference %v", srcs, want)
 	}
 }
 

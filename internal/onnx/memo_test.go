@@ -7,39 +7,38 @@ func memoTestGraph() *Graph {
 	return b.MustFinish(b.Relu(b.Conv(b.Input(), 8, 3, 1, 1, 1)))
 }
 
+// TestGraphMemoLifecycle: the graph has one derived-state slot, the Index,
+// and what other packages memoize hangs off it.
 func TestGraphMemoLifecycle(t *testing.T) {
 	g := memoTestGraph()
-	if _, ok := g.HashMemo(); ok {
-		t.Fatal("fresh graph must have no hash memo")
+	ix, err := g.Index()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if g.FeatMemo() != nil {
-		t.Fatal("fresh graph must have no feature memo")
+	if ix.HashMemo() != 0 || ix.FeatMemo() != nil {
+		t.Fatal("a fresh index must carry no memo")
+	}
+	ix.SetHashMemo(0xabcd)
+	ix.SetFeatMemo("payload")
+	if again, _ := g.Index(); again != ix {
+		t.Fatal("Index must return the cached instance")
+	}
+	if ix.HashMemo() != 0xabcd || ix.FeatMemo() != "payload" {
+		t.Fatalf("memo = (%x, %v)", ix.HashMemo(), ix.FeatMemo())
 	}
 
-	g.SetHashMemo(0xabcd)
-	g.SetFeatMemo("payload")
-	if h, ok := g.HashMemo(); !ok || h != 0xabcd {
-		t.Fatalf("HashMemo = (%x, %v)", h, ok)
-	}
-	if v := g.FeatMemo(); v != "payload" {
-		t.Fatalf("FeatMemo = %v", v)
-	}
-
-	// Clone never inherits memos: clones exist to be mutated.
-	c := g.Clone()
-	if _, ok := c.HashMemo(); ok {
-		t.Fatal("clone inherited the hash memo")
-	}
-	if c.FeatMemo() != nil {
-		t.Fatal("clone inherited the feature memo")
+	// Clone never inherits derived state: clones exist to be mutated.
+	if c := g.Clone(); c.derived.Load() != nil {
+		t.Fatal("clone inherited the derived slot")
 	}
 
 	g.InvalidateMemo()
-	if _, ok := g.HashMemo(); ok {
-		t.Fatal("InvalidateMemo left the hash memo")
+	fresh, err := g.Index()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if g.FeatMemo() != nil {
-		t.Fatal("InvalidateMemo left the feature memo")
+	if fresh == ix || fresh.HashMemo() != 0 || fresh.FeatMemo() != nil {
+		t.Fatal("InvalidateMemo left derived state behind")
 	}
 }
 

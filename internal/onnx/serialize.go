@@ -4,9 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"math"
+	"strings"
 )
 
 // Binary serialization: a compact, deterministic, weight-free encoding used
@@ -83,14 +84,116 @@ func (g *Graph) EncodeBinary() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// DecodeBinary parses a graph serialized by EncodeBinary.
+// ErrCountExceedsInput reports a length prefix that promises more elements
+// than the bytes left in the input could encode. DecodeBinary checks every
+// prefix before allocating for it, so a short hostile body cannot demand a
+// large allocation.
+var ErrCountExceedsInput = errors.New("onnx: declared count exceeds remaining input")
+
+var (
+	errTruncated = errors.New("onnx: truncated input")
+	errVarint    = errors.New("onnx: varint overflows 64 bits")
+)
+
+// decoder reads the binary format from one string copy of the input; every
+// decoded name, attribute key and string value is a substring of it, so
+// strings cost no allocation of their own.
+type decoder struct {
+	s   string
+	pos int
+}
+
+func (d *decoder) byte() (byte, error) {
+	if d.pos >= len(d.s) {
+		return 0, errTruncated
+	}
+	b := d.s[d.pos]
+	d.pos++
+	return b, nil
+}
+
+func (d *decoder) uvarint() (uint64, error) {
+	var x uint64
+	for shift := uint(0); shift < 64; shift += 7 {
+		b, err := d.byte()
+		if err != nil {
+			return 0, err
+		}
+		if b < 0x80 {
+			if shift == 63 && b > 1 {
+				return 0, errVarint
+			}
+			return x | uint64(b)<<shift, nil
+		}
+		x |= uint64(b&0x7f) << shift
+	}
+	return 0, errVarint
+}
+
+func (d *decoder) varint() (int64, error) {
+	ux, err := d.uvarint()
+	x := int64(ux >> 1)
+	if ux&1 != 0 {
+		x = ^x
+	}
+	return x, err
+}
+
+// count reads the length prefix of a sequence whose elements occupy at least
+// minBytes each.
+func (d *decoder) count(what string, minBytes int) (int, error) {
+	n, err := d.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if left := len(d.s) - d.pos; n > uint64(left/minBytes) {
+		return 0, fmt.Errorf("%w: %d %s with %d bytes left", ErrCountExceedsInput, n, what, left)
+	}
+	return int(n), nil
+}
+
+func (d *decoder) str() (string, error) {
+	n, err := d.count("string bytes", 1)
+	if err != nil {
+		return "", err
+	}
+	s := d.s[d.pos : d.pos+n]
+	d.pos += n
+	return s, nil
+}
+
+// opByName interns decoded operator names to the package's constants.
+var opByName = func() map[string]OpType {
+	m := make(map[string]OpType, len(AllOpTypes))
+	for _, op := range AllOpTypes {
+		m[string(op)] = op
+	}
+	return m
+}()
+
+// take cuts n elements off the front of *arena, replacing an exhausted arena
+// with a fresh chunk, so a graph's many small slices share a few allocations.
+// Callers cap chunk by the bytes left in the input.
+func take[T any](arena *[]T, n, chunk int) []T {
+	if n > len(*arena) {
+		*arena = make([]T, max(n, chunk))
+	}
+	out := (*arena)[:n:n]
+	*arena = (*arena)[n:]
+	return out
+}
+
+// DecodeBinary parses a graph serialized by EncodeBinary and, when the graph
+// is structurally valid, attaches its Index: a decoded graph then validates
+// and hashes without another pass over names. An invalid graph still
+// decodes; Validate reports what is wrong with it.
 func DecodeBinary(data []byte) (*Graph, error) {
-	r := bytes.NewReader(data)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != binaryMagic {
+	d := &decoder{s: string(data)}
+	if len(d.s) < len(binaryMagic) || d.s[:len(binaryMagic)] != binaryMagic {
 		return nil, fmt.Errorf("onnx: bad magic")
 	}
-	ver, err := r.ReadByte()
+	d.pos = len(binaryMagic)
+	ver, err := d.byte()
 	if err != nil {
 		return nil, err
 	}
@@ -98,121 +201,140 @@ func DecodeBinary(data []byte) (*Graph, error) {
 		return nil, fmt.Errorf("onnx: unsupported version %d", ver)
 	}
 	g := &Graph{}
-	if g.Name, err = readString(r); err != nil {
+	if g.Name, err = d.str(); err != nil {
 		return nil, err
 	}
-	if g.Family, err = readString(r); err != nil {
+	if g.Family, err = d.str(); err != nil {
 		return nil, err
 	}
-	nin, err := readUvarint(r)
+	// The graph's own labels outlive it (database rows, logs); as substrings
+	// they would pin the whole input copy for as long.
+	g.Name, g.Family = strings.Clone(g.Name), strings.Clone(g.Family)
+	nin, err := d.count("inputs", 2)
 	if err != nil {
 		return nil, err
 	}
 	g.Inputs = make([]ValueInfo, nin)
 	for i := range g.Inputs {
-		if g.Inputs[i].Name, err = readString(r); err != nil {
+		if g.Inputs[i].Name, err = d.str(); err != nil {
 			return nil, err
 		}
-		rank, err := readUvarint(r)
+		rank, err := d.count("dims", 1)
 		if err != nil {
 			return nil, err
 		}
 		g.Inputs[i].Shape = make(Shape, rank)
-		for d := range g.Inputs[i].Shape {
-			v, err := readUvarint(r)
+		for k := range g.Inputs[i].Shape {
+			v, err := d.uvarint()
 			if err != nil {
 				return nil, err
 			}
-			g.Inputs[i].Shape[d] = int(v)
+			g.Inputs[i].Shape[k] = int(v)
 		}
 	}
-	nnodes, err := readUvarint(r)
+	nnodes, err := d.count("nodes", 4)
 	if err != nil {
 		return nil, err
 	}
+	nodes := make([]Node, nnodes)
 	g.Nodes = make([]*Node, nnodes)
-	for i := range g.Nodes {
-		n := &Node{}
-		if n.Name, err = readString(r); err != nil {
+	var (
+		names []string
+		ints  []int64
+	)
+	for i := range nodes {
+		n := &nodes[i]
+		g.Nodes[i] = n
+		if n.Name, err = d.str(); err != nil {
 			return nil, err
 		}
-		op, err := readString(r)
+		op, err := d.str()
 		if err != nil {
 			return nil, err
 		}
-		n.Op = OpType(op)
-		numIn, err := readUvarint(r)
+		if known, ok := opByName[op]; ok {
+			n.Op = known
+		} else {
+			n.Op = OpType(op)
+		}
+		numIn, err := d.count("node inputs", 1)
 		if err != nil {
 			return nil, err
 		}
-		n.Inputs = make([]string, numIn)
+		n.Inputs = take(&names, numIn, min(2*nnodes, len(d.s)-d.pos))
 		for j := range n.Inputs {
-			if n.Inputs[j], err = readString(r); err != nil {
+			if n.Inputs[j], err = d.str(); err != nil {
 				return nil, err
 			}
 		}
-		numAttrs, err := readUvarint(r)
+		numAttrs, err := d.count("attrs", 3)
 		if err != nil {
 			return nil, err
 		}
 		if numAttrs > 0 {
 			n.Attrs = make(Attrs, numAttrs)
 		}
-		for j := uint64(0); j < numAttrs; j++ {
-			key, err := readString(r)
+		for j := 0; j < numAttrs; j++ {
+			key, err := d.str()
 			if err != nil {
 				return nil, err
 			}
-			kindB, err := r.ReadByte()
+			kind, err := d.byte()
 			if err != nil {
 				return nil, err
 			}
-			a := Attr{Kind: AttrKind(kindB)}
+			a := Attr{Kind: AttrKind(kind)}
 			switch a.Kind {
 			case AttrInt:
-				if a.I, err = binary.ReadVarint(r); err != nil {
+				if a.I, err = d.varint(); err != nil {
 					return nil, err
 				}
 			case AttrInts:
-				cnt, err := readUvarint(r)
+				cnt, err := d.count("ints", 1)
 				if err != nil {
 					return nil, err
 				}
-				a.Ints = make([]int64, cnt)
+				a.Ints = take(&ints, cnt, min(4*nnodes, len(d.s)-d.pos))
 				for k := range a.Ints {
-					if a.Ints[k], err = binary.ReadVarint(r); err != nil {
+					if a.Ints[k], err = d.varint(); err != nil {
 						return nil, err
 					}
 				}
 			case AttrFloat:
-				b := make([]byte, 8)
-				if _, err := io.ReadFull(r, b); err != nil {
-					return nil, err
+				if len(d.s)-d.pos < 8 {
+					return nil, errTruncated
 				}
-				a.F = math.Float64frombits(binary.LittleEndian.Uint64(b))
+				var bits uint64
+				for k := 7; k >= 0; k-- {
+					bits = bits<<8 | uint64(d.s[d.pos+k])
+				}
+				d.pos += 8
+				a.F = math.Float64frombits(bits)
 			case AttrString:
-				if a.S, err = readString(r); err != nil {
+				if a.S, err = d.str(); err != nil {
 					return nil, err
 				}
 			default:
-				return nil, fmt.Errorf("onnx: attr %q has invalid kind %d", key, kindB)
+				return nil, fmt.Errorf("onnx: attr %q has invalid kind %d", key, kind)
 			}
 			n.Attrs[key] = a
 		}
-		g.Nodes[i] = n
 	}
-	nout, err := readUvarint(r)
+	nout, err := d.count("outputs", 1)
 	if err != nil {
 		return nil, err
 	}
 	g.Outputs = make([]string, nout)
 	for i := range g.Outputs {
-		if g.Outputs[i], err = readString(r); err != nil {
+		if g.Outputs[i], err = d.str(); err != nil {
 			return nil, err
 		}
 	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("onnx: %d trailing bytes", r.Len())
+	if left := len(d.s) - d.pos; left != 0 {
+		return nil, fmt.Errorf("onnx: %d trailing bytes", left)
+	}
+	if ix, err := buildIndex(g); err == nil {
+		g.derived.Store(ix)
 	}
 	return g, nil
 }
@@ -309,23 +431,4 @@ func writeVarint(buf *bytes.Buffer, v int64) {
 func writeString(buf *bytes.Buffer, s string) {
 	writeUvarint(buf, uint64(len(s)))
 	buf.WriteString(s)
-}
-
-func readUvarint(r *bytes.Reader) (uint64, error) {
-	return binary.ReadUvarint(r)
-}
-
-func readString(r *bytes.Reader) (string, error) {
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		return "", err
-	}
-	if n > uint64(r.Len()) {
-		return "", fmt.Errorf("onnx: string length %d exceeds remaining %d bytes", n, r.Len())
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return "", err
-	}
-	return string(b), nil
 }

@@ -12,27 +12,31 @@ type ShapeMap map[string]Shape
 // (output channel count, standing in for the weight tensor we do not store)
 // and `group`; Gemm takes `out_features`; Concat takes `axis`.
 func (g *Graph) InferShapes() (ShapeMap, error) {
+	ix, err := g.Index()
+	if err != nil {
+		return nil, err
+	}
 	shapes := make(ShapeMap, len(g.Nodes)+len(g.Inputs))
 	for _, vi := range g.Inputs {
 		shapes[vi.Name] = vi.Shape.Clone()
 	}
-	order, err := g.TopoSort()
-	if err != nil {
-		return nil, err
-	}
-	for _, n := range order {
-		ins := make([]Shape, len(n.Inputs))
-		for i, name := range n.Inputs {
-			s, ok := shapes[name]
-			if !ok {
-				return nil, fmt.Errorf("onnx: node %q input %q has no shape", n.Name, name)
+	byID := make([]Shape, len(g.Nodes))
+	var ins []Shape
+	for _, v := range ix.Topo {
+		n := g.Nodes[v]
+		ins = ins[:0]
+		for _, in := range ix.Inputs(v) {
+			if in >= 0 {
+				ins = append(ins, byID[in])
+			} else {
+				ins = append(ins, g.Inputs[^in].Shape)
 			}
-			ins[i] = s
 		}
 		out, err := inferNodeShape(n, ins)
 		if err != nil {
 			return nil, fmt.Errorf("onnx: node %q (%s): %w", n.Name, n.Op, err)
 		}
+		byID[v] = out
 		shapes[n.Name] = out
 	}
 	return shapes, nil

@@ -457,14 +457,23 @@ func decodeModel(req *Request) (*onnx.Graph, error) {
 	return g, nil
 }
 
+// maxBodyBytes caps a /query or /predict body: ~800× the zoo's ~10 KB mean,
+// far above any real model and far below what could exhaust the process.
+const maxBodyBytes = 8 << 20
+
 func readRequest(w http.ResponseWriter, r *http.Request) (*Request, *onnx.Graph, bool) {
 	if r.Method != http.MethodPost {
 		writeErr(w, http.StatusMethodNotAllowed, errors.New("POST required"))
 		return nil, nil, false
 	}
 	var req Request
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad json: %w", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeErr(w, status, fmt.Errorf("bad json: %w", err))
 		return nil, nil, false
 	}
 	if req.Platform == "" {
