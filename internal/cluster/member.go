@@ -5,43 +5,28 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"nnlqp/internal/breaker"
 )
 
-// Replica health mirrors the device-farm taxonomy (internal/hwsim/health.go):
-// every routed outcome folds into an EWMA success score per replica; a replica
-// whose score sinks below the eject threshold is pulled from the healthy set
-// for a doubling backoff window, then readmitted on probation — one success
-// fully rehabilitates it, one failure re-ejects it with a doubled window
-// (capped). The background prober keeps scoring ejected replicas, so a
-// restarted replica rejoins without any client traffic having to gamble on it.
+// Replica health is the device farm's breaker (internal/breaker) with its own
+// window defaults: every routed outcome feeds the replica's breaker, a tripped
+// replica leaves the healthy set for a doubling backoff window and is then
+// readmitted on probation. The background prober keeps scoring ejected
+// replicas, so a restarted replica rejoins without any client traffic having
+// to gamble on it.
 
-// Health policy defaults; override with Config.Health.
+// Ejection window defaults; override with Config.Health.
 const (
-	DefaultEjectThreshold = 0.35
-	DefaultEjectBase      = 500 * time.Millisecond
-	DefaultEjectMax       = 30 * time.Second
-	memberDecay           = 0.65 // EWMA weight kept on failure/success
+	DefaultEjectBase = 500 * time.Millisecond
+	DefaultEjectMax  = 30 * time.Second
 )
 
 // HealthPolicy configures when replicas are ejected and for how long.
-type HealthPolicy struct {
-	// Threshold is the EWMA score below which a replica is ejected.
-	Threshold float64
-	// Base/Max bound the exponential ejection window.
-	Base, Max time.Duration
-}
+type HealthPolicy = breaker.Policy
 
-func (p HealthPolicy) withDefaults() HealthPolicy {
-	if p.Threshold <= 0 {
-		p.Threshold = DefaultEjectThreshold
-	}
-	if p.Base <= 0 {
-		p.Base = DefaultEjectBase
-	}
-	if p.Max <= 0 {
-		p.Max = DefaultEjectMax
-	}
-	return p
+func healthDefaults(p HealthPolicy) HealthPolicy {
+	return p.WithDefaults(DefaultEjectBase, DefaultEjectMax)
 }
 
 // Member is one backend replica the router can dispatch to.
@@ -56,18 +41,12 @@ type Member struct {
 	failures       atomic.Int64 // dispatches blamed on the replica
 
 	mu           sync.Mutex
-	score        float64 // EWMA of success(1)/failure(0), starts at 1
-	ejectedUntil time.Time
-	backoff      time.Duration
-	probation    bool
+	health       breaker.Breaker
 	ejections    int64
 	readmissions int64
-
-	// Health policy, copied from the membership at Add so reportResult needs
-	// no back-pointer. Guarded by mu.
-	policyThreshold float64
-	policyBase      time.Duration
-	policyMax       time.Duration
+	// policy is copied from the membership at Add so reportResult needs no
+	// back-pointer.
+	policy HealthPolicy
 }
 
 // NewMember builds a member for a replica at addr. name must be unique within
@@ -76,10 +55,9 @@ type Member struct {
 func NewMember(name, addr string) *Member {
 	h := fnv.New64a()
 	h.Write([]byte(name))
-	p := HealthPolicy{}.withDefaults()
 	return &Member{
-		name: name, addr: addr, seed: h.Sum64(), score: 1,
-		policyThreshold: p.Threshold, policyBase: p.Base, policyMax: p.Max,
+		name: name, addr: addr, seed: h.Sum64(),
+		health: breaker.New(), policy: healthDefaults(HealthPolicy{}),
 	}
 }
 
@@ -97,46 +75,18 @@ func (m *Member) Load() int64 { return m.inflight.Load() + m.remoteInFlight.Load
 func (m *Member) healthy(now time.Time) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return !now.Before(m.ejectedUntil)
+	return !m.health.Open(now)
 }
 
-// reportResult folds one routed outcome into the member's health score.
-// ok=false means the failure is replica-attributed (network error, 5xx the
-// replica should not emit); relayed client errors must not be reported.
+// reportResult folds one routed outcome into the member's breaker. ok=false
+// means the failure is replica-attributed (network error, 5xx the replica
+// should not emit); relayed client errors must not be reported.
 func (m *Member) reportResult(ok bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if ok {
-		m.score = memberDecay*m.score + (1 - memberDecay)
-		if m.probation {
-			// A probe answered: full rehabilitation.
-			m.probation = false
-			m.backoff = 0
-			m.score = 1
-		}
-		return
+	if m.health.Report(ok, m.policy, time.Now()) {
+		m.ejections++
 	}
-	m.score = memberDecay * m.score
-	if m.probation || m.score < m.policyThreshold {
-		m.ejectLocked(time.Now())
-	}
-}
-
-// ejectLocked pulls the member from the healthy set for its (doubling)
-// backoff window. Callers must hold m.mu.
-func (m *Member) ejectLocked(now time.Time) {
-	if m.backoff <= 0 {
-		m.backoff = m.policyBase
-	} else {
-		m.backoff *= 2
-		if m.backoff > m.policyMax {
-			m.backoff = m.policyMax
-		}
-	}
-	m.ejectedUntil = now.Add(m.backoff)
-	m.probation = false
-	m.score = 1 // the probation probe re-judges the replica from scratch
-	m.ejections++
 }
 
 // Eject forces the member out of rotation for d (an admin hook, also used by
@@ -144,8 +94,7 @@ func (m *Member) ejectLocked(now time.Time) {
 func (m *Member) Eject(d time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.ejectedUntil = time.Now().Add(d)
-	m.probation = false
+	m.health.ForceOpen(time.Now().Add(d))
 	m.ejections++
 }
 
@@ -154,12 +103,9 @@ func (m *Member) Eject(d time.Duration) {
 func (m *Member) maybeReadmit(now time.Time) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.ejectedUntil.IsZero() || now.Before(m.ejectedUntil) || m.probation {
-		return
+	if m.health.Probe(now) {
+		m.readmissions++
 	}
-	m.ejectedUntil = time.Time{}
-	m.probation = true
-	m.readmissions++
 }
 
 // MemberStatus is the wire form of one member's state in /cluster.
@@ -184,9 +130,9 @@ func (m *Member) Status() MemberStatus {
 	st := MemberStatus{
 		Name:         m.name,
 		Addr:         m.addr,
-		Healthy:      !now.Before(m.ejectedUntil),
-		Probation:    m.probation,
-		Score:        m.score,
+		Healthy:      !m.health.Open(now),
+		Probation:    m.health.Probation(),
+		Score:        m.health.Score(),
 		Ejections:    m.ejections,
 		Readmissions: m.readmissions,
 	}
@@ -210,16 +156,14 @@ type Membership struct {
 // NewMembership builds an empty membership with the given health policy
 // (zero fields take defaults).
 func NewMembership(policy HealthPolicy) *Membership {
-	return &Membership{policy: policy.withDefaults()}
+	return &Membership{policy: healthDefaults(policy)}
 }
 
 // Add registers a member. Adding a name that already exists replaces the old
 // entry (a restarted replica re-registering keeps its keyspace slice).
 func (ms *Membership) Add(m *Member) {
 	m.mu.Lock()
-	m.policyThreshold = ms.policy.Threshold
-	m.policyBase = ms.policy.Base
-	m.policyMax = ms.policy.Max
+	m.policy = ms.policy
 	m.mu.Unlock()
 	ms.mu.Lock()
 	defer ms.mu.Unlock()

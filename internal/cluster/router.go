@@ -6,9 +6,10 @@
 // policy's next choice under a bounded token-bucket budget; /stats aggregates
 // the replica counters and /engine and /cluster expose the per-replica view.
 //
-// The package deliberately depends only on the standard library (it speaks to
-// replicas over their public HTTP API), so internal/server's client can
-// import it for the /cluster response types without an import cycle.
+// The package deliberately speaks to replicas over their public HTTP API, and
+// its only internal import, internal/breaker, imports nothing but the
+// standard library, so internal/server's client can import it for the
+// /cluster response types without an import cycle.
 package cluster
 
 import (
@@ -26,6 +27,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"nnlqp/internal/breaker"
 )
 
 // Config tunes the router. Zero values select the defaults.
@@ -75,7 +78,7 @@ func (c Config) withDefaults() Config {
 	if c.ProbeTimeout <= 0 {
 		c.ProbeTimeout = c.ProbeInterval
 	}
-	c.Health = c.Health.withDefaults()
+	c.Health = healthDefaults(c.Health)
 	return c
 }
 
@@ -111,8 +114,7 @@ type Router struct {
 	shed          atomic.Int64
 	probes        atomic.Int64
 
-	budgetMu sync.Mutex
-	budget   float64
+	budget *breaker.Budget
 
 	// flights coalesces byte-identical concurrent proxy requests: one leader
 	// dispatches to a replica, followers share its response. This is the
@@ -134,7 +136,7 @@ func New(cfg Config) *Router {
 		cfg:     cfg,
 		members: NewMembership(cfg.Health),
 		httpc:   &http.Client{},
-		budget:  cfg.RetryBudget,
+		budget:  breaker.NewBudget(cfg.RetryBudget, cfg.RetryRefill),
 		flights: make(map[string]*routerFlight),
 	}
 }
@@ -151,33 +153,6 @@ func (rt *Router) AddReplica(name, addr string) *Member {
 	m := NewMember(name, addr)
 	rt.members.Add(m)
 	return m
-}
-
-// spendToken takes one retry token; false means the budget is empty.
-func (rt *Router) spendToken() bool {
-	rt.budgetMu.Lock()
-	defer rt.budgetMu.Unlock()
-	if rt.budget < 1 {
-		return false
-	}
-	rt.budget--
-	return true
-}
-
-// refund credits the budget after a successful first attempt.
-func (rt *Router) refund() {
-	rt.budgetMu.Lock()
-	defer rt.budgetMu.Unlock()
-	rt.budget += rt.cfg.RetryRefill
-	if rt.budget > rt.cfg.RetryBudget {
-		rt.budget = rt.cfg.RetryBudget
-	}
-}
-
-func (rt *Router) retryTokens() float64 {
-	rt.budgetMu.Lock()
-	defer rt.budgetMu.Unlock()
-	return rt.budget
 }
 
 // baseURL normalizes a member address to an http base URL.
@@ -393,7 +368,7 @@ func (rt *Router) dispatch(ctx context.Context, path string, header http.Header,
 	var lastErr error
 	for i := 0; i < attempts; i++ {
 		if i > 0 {
-			if !rt.spendToken() {
+			if !rt.budget.Spend() {
 				rt.retriesDenied.Add(1)
 				break
 			}
@@ -415,7 +390,7 @@ func (rt *Router) dispatch(ctx context.Context, path string, header http.Header,
 		}
 		if !retry {
 			if i == 0 {
-				rt.refund()
+				rt.budget.Refund()
 			}
 			return res, nil
 		}
@@ -556,8 +531,9 @@ var maxKeys = map[string]bool{
 }
 
 // mergeStats folds one replica's /stats JSON into the aggregate: numbers sum
-// (or max, for maxKeys), booleans OR. Note database row counts sum too — the
-// aggregate is the replicas' combined view, so replicas sharing one store
+// (or max, for maxKeys), booleans OR, and nested objects (admit_by_class)
+// merge recursively under the same rules. Note database row counts sum too —
+// the aggregate is the replicas' combined view, so replicas sharing one store
 // count it once per replica.
 func mergeStats(agg map[string]any, one map[string]any) {
 	for k, v := range one {
@@ -574,6 +550,13 @@ func mergeStats(agg map[string]any, one map[string]any) {
 		case bool:
 			prev, _ := agg[k].(bool)
 			agg[k] = prev || val
+		case map[string]any:
+			sub, ok := agg[k].(map[string]any)
+			if !ok {
+				sub = map[string]any{}
+				agg[k] = sub
+			}
+			mergeStats(sub, val)
 		default:
 			if _, ok := agg[k]; !ok {
 				agg[k] = v
@@ -706,7 +689,7 @@ func (rt *Router) Status() StatusResponse {
 		Exhausted:     rt.exhausted.Load(),
 		Shed:          rt.shed.Load(),
 		Probes:        rt.probes.Load(),
-		RetryTokens:   rt.retryTokens(),
+		RetryTokens:   rt.budget.Tokens(),
 	}
 	for _, m := range rt.members.Members() {
 		st.Members = append(st.Members, m.Status())

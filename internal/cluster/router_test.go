@@ -325,6 +325,50 @@ func TestStatsAggregation(t *testing.T) {
 	}
 }
 
+// TestStatsAggregationNestedClasses: the per-class admission buckets merge
+// like the top-level counters, so behind a router Σ per-class admitted/shed
+// still equals the summed admitted/shed.
+func TestStatsAggregationNestedClasses(t *testing.T) {
+	r1, r2 := newFakeReplica(t), newFakeReplica(t)
+	r1.setStats(`{"admitted":7,"shed":3,"admit_by_class":{"interactive":{"admitted":5,"shed":1},"batch":{"admitted":2,"shed":2}}}`, false)
+	r2.setStats(`{"admitted":9,"shed":4,"admit_by_class":{"batch":{"admitted":1,"shed":0},"best-effort":{"admitted":8,"shed":4}}}`, false)
+
+	rt := New(Config{ProbeTimeout: time.Second})
+	rt.AddReplica("r1", r1.addr())
+	rt.AddReplica("r2", r2.addr())
+	req := httptest.NewRequest(http.MethodGet, "/stats", nil)
+	w := httptest.NewRecorder()
+	rt.Handler().ServeHTTP(w, req)
+	var agg struct {
+		Admitted int64                       `json:"admitted"`
+		Shed     int64                       `json:"shed"`
+		ByClass  map[string]map[string]int64 `json:"admit_by_class"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &agg); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]map[string]int64{
+		"interactive": {"admitted": 5, "shed": 1},
+		"batch":       {"admitted": 3, "shed": 2},
+		"best-effort": {"admitted": 8, "shed": 4},
+	}
+	var admitted, shed int64
+	for class, w := range want {
+		got := agg.ByClass[class]
+		if got["admitted"] != w["admitted"] || got["shed"] != w["shed"] {
+			t.Fatalf("class %s = %v, want %v (all %v)", class, got, w, agg.ByClass)
+		}
+	}
+	for _, c := range agg.ByClass {
+		admitted += c["admitted"]
+		shed += c["shed"]
+	}
+	if agg.Admitted != 16 || agg.Shed != 7 || admitted != agg.Admitted || shed != agg.Shed {
+		t.Fatalf("totals admitted/shed = %d/%d, Σ classes %d/%d, want 16/7 both",
+			agg.Admitted, agg.Shed, admitted, shed)
+	}
+}
+
 // TestClusterEndpoint: /cluster reports the policy and per-member view.
 func TestClusterEndpoint(t *testing.T) {
 	f := newFakeReplica(t)

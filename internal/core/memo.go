@@ -1,6 +1,6 @@
 package core
 
-import "sync"
+import "nnlqp/internal/lru"
 
 // PredictMemo caches predictor outputs keyed by (graph hash, platform,
 // predictor generation). Because Predictor generations are process-unique
@@ -9,15 +9,11 @@ import "sync"
 // the key, no flush call exists or is needed. The memo is a sharded LRU so
 // concurrent serving goroutines contend only per shard.
 type PredictMemo struct {
-	shards []memoShard
-	mask   uint64
-	cap    int // per-shard capacity
+	lru *lru.Cache[memoKey, float64]
 }
 
 // DefaultMemoEntries is the default total capacity of a PredictMemo.
 const DefaultMemoEntries = 4096
-
-const memoShards = 16
 
 // memoKey identifies one cached prediction. Generation is part of the key,
 // not a validity check: a predictor swap or fine-tune changes the generation
@@ -29,28 +25,8 @@ type memoKey struct {
 	Generation uint64
 }
 
-type memoEntry struct {
-	key        memoKey
-	latencyMS  float64
-	prev, next *memoEntry // intrusive LRU list (head = most recent)
-}
-
-type memoShard struct {
-	mu         sync.Mutex
-	entries    map[memoKey]*memoEntry
-	head, tail *memoEntry
-	hits       uint64
-	misses     uint64
-	evictions  uint64
-}
-
 // MemoStats is a point-in-time snapshot of memo counters.
-type MemoStats struct {
-	Hits      uint64
-	Misses    uint64
-	Evictions uint64
-	Size      int
-}
+type MemoStats = lru.Stats
 
 // NewPredictMemo builds a memo holding up to entries predictions in total
 // (<=0 → DefaultMemoEntries). Capacity is split evenly across shards.
@@ -58,34 +34,12 @@ func NewPredictMemo(entries int) *PredictMemo {
 	if entries <= 0 {
 		entries = DefaultMemoEntries
 	}
-	perShard := (entries + memoShards - 1) / memoShards
-	m := &PredictMemo{shards: make([]memoShard, memoShards), mask: memoShards - 1, cap: perShard}
-	for i := range m.shards {
-		m.shards[i].entries = make(map[memoKey]*memoEntry)
-	}
-	return m
-}
-
-func (m *PredictMemo) shard(hash uint64) *memoShard {
-	// Mix the high bits in: graph hashes are FNV-like and well distributed,
-	// but cheap insurance against clustered low bits.
-	return &m.shards[(hash^hash>>32)&m.mask]
+	return &PredictMemo{lru.New[memoKey, float64](entries, func(k memoKey) uint64 { return k.Hash })}
 }
 
 // Get returns the cached prediction for (hash, platform, generation).
 func (m *PredictMemo) Get(hash uint64, platform string, generation uint64) (float64, bool) {
-	k := memoKey{Hash: hash, Platform: platform, Generation: generation}
-	s := m.shard(hash)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries[k]
-	if !ok {
-		s.misses++
-		return 0, false
-	}
-	s.hits++
-	s.moveToFront(e)
-	return e.latencyMS, true
+	return m.lru.Get(memoKey{Hash: hash, Platform: platform, Generation: generation})
 }
 
 // Put records a prediction computed under the given generation. Callers must
@@ -93,86 +47,11 @@ func (m *PredictMemo) Get(hash uint64, platform string, generation uint64) (floa
 // races the prediction lands the result under the old (now unreachable)
 // generation instead of the new one.
 func (m *PredictMemo) Put(hash uint64, platform string, generation uint64, latencyMS float64) {
-	k := memoKey{Hash: hash, Platform: platform, Generation: generation}
-	s := m.shard(hash)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.entries[k]; ok {
-		e.latencyMS = latencyMS
-		s.moveToFront(e)
-		return
-	}
-	e := &memoEntry{key: k, latencyMS: latencyMS}
-	s.entries[k] = e
-	s.pushFront(e)
-	if len(s.entries) > m.cap {
-		victim := s.tail
-		s.unlink(victim)
-		delete(s.entries, victim.key)
-		s.evictions++
-	}
+	m.lru.Put(memoKey{Hash: hash, Platform: platform, Generation: generation}, latencyMS)
 }
 
 // Stats sums counters across shards.
-func (m *PredictMemo) Stats() MemoStats {
-	var st MemoStats
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		st.Hits += s.hits
-		st.Misses += s.misses
-		st.Evictions += s.evictions
-		st.Size += len(s.entries)
-		s.mu.Unlock()
-	}
-	return st
-}
+func (m *PredictMemo) Stats() MemoStats { return m.lru.Stats() }
 
 // Len returns the number of cached predictions.
-func (m *PredictMemo) Len() int {
-	n := 0
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		n += len(s.entries)
-		s.mu.Unlock()
-	}
-	return n
-}
-
-// pushFront links e as the most-recently-used entry. Callers hold mu.
-func (s *memoShard) pushFront(e *memoEntry) {
-	e.prev = nil
-	e.next = s.head
-	if s.head != nil {
-		s.head.prev = e
-	}
-	s.head = e
-	if s.tail == nil {
-		s.tail = e
-	}
-}
-
-// unlink removes e from the LRU list. Callers hold mu.
-func (s *memoShard) unlink(e *memoEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		s.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		s.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-// moveToFront marks e most recently used. Callers hold mu.
-func (s *memoShard) moveToFront(e *memoEntry) {
-	if s.head == e {
-		return
-	}
-	s.unlink(e)
-	s.pushFront(e)
-}
+func (m *PredictMemo) Len() int { return m.lru.Stats().Size }

@@ -5,11 +5,12 @@ import (
 	"testing"
 
 	"nnlqp/internal/hwsim"
+	"nnlqp/internal/lru"
 	"nnlqp/internal/models"
 )
 
 func TestPredictMemoGetPutLRU(t *testing.T) {
-	m := NewPredictMemo(memoShards) // capacity 1 per shard
+	m := NewPredictMemo(lru.Shards) // capacity 1 per shard
 	if _, ok := m.Get(1, "p", 1); ok {
 		t.Fatal("empty memo must miss")
 	}
@@ -190,5 +191,18 @@ func BenchmarkPredictMemoGet(b *testing.B) {
 		if _, ok := m.Get(uint64(i%256), "p", 1); !ok {
 			b.Fatal("miss")
 		}
+	}
+}
+
+// TestPredictMemoGetHitAllocs pins a memo hit at zero allocations, its count
+// before the memo moved onto internal/lru.
+func TestPredictMemoGetHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are not meaningful under -race instrumentation")
+	}
+	m := NewPredictMemo(0)
+	m.Put(7, "p", 1, 2.5)
+	if avg := testing.AllocsPerRun(1000, func() { m.Get(7, "p", 1) }); avg != 0 {
+		t.Fatalf("PredictMemo.Get hit allocates %.1f objects/op, want 0", avg)
 	}
 }

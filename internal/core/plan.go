@@ -2,10 +2,10 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"nnlqp/internal/feats"
 	"nnlqp/internal/gnn"
+	"nnlqp/internal/lru"
 	"nnlqp/internal/tensor"
 )
 
@@ -68,108 +68,25 @@ type graphPlan struct {
 // below the prediction memo's.
 const defaultPlanEntries = 512
 
-const planShards = 16
-
-type planEntry struct {
-	plan       *graphPlan
-	prev, next *planEntry // intrusive LRU list (head = most recent)
-}
-
-type planShard struct {
-	mu         sync.Mutex
-	entries    map[uint64]*planEntry
-	head, tail *planEntry
-}
-
-// planCache is a sharded LRU of graphPlans keyed by graph hash. An entry
-// whose generation no longer matches reads as a miss and is replaced in
-// place by the next put for its hash.
+// planCache is an LRU of graphPlans keyed by graph hash. A plan built under
+// another generation reads as a miss and is replaced in place by the next put
+// for its hash.
 type planCache struct {
-	shards []planShard
-	mask   uint64
-	cap    int // per-shard capacity
+	lru *lru.Cache[uint64, *graphPlan]
 }
 
 func newPlanCache(entries int) *planCache {
-	perShard := (entries + planShards - 1) / planShards
-	c := &planCache{shards: make([]planShard, planShards), mask: planShards - 1, cap: perShard}
-	for i := range c.shards {
-		c.shards[i].entries = make(map[uint64]*planEntry)
-	}
-	return c
-}
-
-func (c *planCache) shard(hash uint64) *planShard {
-	return &c.shards[(hash^hash>>32)&c.mask]
+	return &planCache{lru.New[uint64, *graphPlan](entries, func(h uint64) uint64 { return h })}
 }
 
 // get returns the plan for (hash, gen), or nil on miss/stale.
 func (c *planCache) get(hash, gen uint64) *graphPlan {
-	s := c.shard(hash)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries[hash]
-	if !ok || e.plan.gen != gen {
-		return nil
-	}
-	s.moveToFront(e)
-	return e.plan
+	pl, _ := c.lru.GetIf(hash, func(pl *graphPlan) bool { return pl.gen == gen }, false)
+	return pl
 }
 
-// put stores (replacing any same-hash entry, stale or not) and evicts LRU
-// overflow.
-func (c *planCache) put(pl *graphPlan) {
-	s := c.shard(pl.hash)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.entries[pl.hash]; ok {
-		e.plan = pl
-		s.moveToFront(e)
-		return
-	}
-	e := &planEntry{plan: pl}
-	s.entries[pl.hash] = e
-	s.pushFront(e)
-	if len(s.entries) > c.cap {
-		victim := s.tail
-		s.unlink(victim)
-		delete(s.entries, victim.plan.hash)
-	}
-}
-
-func (s *planShard) pushFront(e *planEntry) {
-	e.prev = nil
-	e.next = s.head
-	if s.head != nil {
-		s.head.prev = e
-	}
-	s.head = e
-	if s.tail == nil {
-		s.tail = e
-	}
-}
-
-func (s *planShard) unlink(e *planEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		s.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		s.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (s *planShard) moveToFront(e *planEntry) {
-	if s.head == e {
-		return
-	}
-	s.unlink(e)
-	s.pushFront(e)
-}
+// put stores pl, replacing any same-hash entry, stale or not.
+func (c *planCache) put(pl *graphPlan) { c.lru.Put(pl.hash, pl) }
 
 // buildPlan compiles one graph's request state: clone + normalize features
 // once, flatten the adjacency once. The build allocates; every subsequent

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nnlqp/internal/hwsim"
+	"nnlqp/internal/lru"
 	"nnlqp/internal/models"
 )
 
@@ -83,7 +84,7 @@ func TestPredictPlannedBitIdenticalAcrossAblations(t *testing.T) {
 // mismatches read as misses, same-hash puts replace in place, and overflow
 // evicts the least-recently-used entry of the shard.
 func TestPlanCacheStaleAndEvict(t *testing.T) {
-	c := newPlanCache(planShards) // capacity 1 per shard
+	c := newPlanCache(lru.Shards) // capacity 1 per shard
 	if c.get(7, 1) != nil {
 		t.Fatal("empty cache must miss")
 	}
@@ -102,7 +103,7 @@ func TestPlanCacheStaleAndEvict(t *testing.T) {
 		t.Fatal("same-hash put must replace the stale plan")
 	}
 	// A second hash on the same shard evicts the LRU victim (capacity 1).
-	other := uint64(7 + planShards)
+	other := uint64(7 + lru.Shards)
 	c.put(&graphPlan{gen: 2, hash: other})
 	if c.get(7, 2) != nil {
 		t.Fatal("capacity-1 shard must have evicted the older entry")

@@ -118,9 +118,8 @@ func TestPointReadAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkPointRead measures the lean L2 probe against the legacy
-// record-materializing lookups (which decode the stored ONNX binary on every
-// model probe).
+// BenchmarkPointRead measures the lean L2 probe the serving path runs on
+// every L1 miss: an ID-only model lookup plus a by-value latency read.
 func BenchmarkPointRead(b *testing.B) {
 	s, err := OpenStore("")
 	if err != nil {
@@ -133,29 +132,14 @@ func BenchmarkPointRead(b *testing.B) {
 	if _, err := s.InsertLatency(LatencyRecord{ModelID: m.ID, PlatformID: p.ID, BatchSize: 1, LatencyMS: 3.5, Runs: 50}); err != nil {
 		b.Fatal(err)
 	}
-
-	b.Run("lean", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			id, ok, _ := s.ModelIDByHash(m.Hash)
-			if !ok {
-				b.Fatal("miss")
-			}
-			if _, ok, _ := s.LatencyValue(id, p.ID, 1); !ok {
-				b.Fatal("miss")
-			}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		id, ok, _ := s.ModelIDByHash(m.Hash)
+		if !ok {
+			b.Fatal("miss")
 		}
-	})
-	b.Run("legacy", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			mr, ok, _ := s.FindModelByHash(m.Hash)
-			if !ok {
-				b.Fatal("miss")
-			}
-			if _, ok, _ := s.FindLatency(mr.ID, p.ID, 1); !ok {
-				b.Fatal("miss")
-			}
+		if _, ok, _ := s.LatencyValue(id, p.ID, 1); !ok {
+			b.Fatal("miss")
 		}
-	})
+	}
 }

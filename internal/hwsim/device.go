@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"nnlqp/internal/breaker"
 	"nnlqp/internal/onnx"
 	"nnlqp/internal/slo"
 )
@@ -38,7 +39,7 @@ type Farm struct {
 	waiting map[string]*[slo.NumUrgencies]int
 
 	// Fault tolerance (health.go / fault.go).
-	health      map[string]*deviceHealth
+	health      map[string]*breaker.Breaker
 	policy      HealthPolicy
 	quarantines int64
 	faults      *FaultPlan
@@ -54,9 +55,9 @@ func NewFarm() *Farm {
 		all:        make(map[string][]*Device),
 		held:       make(map[string]string),
 		waiting:    make(map[string]*[slo.NumUrgencies]int),
-		health:     make(map[string]*deviceHealth),
+		health:     make(map[string]*breaker.Breaker),
 		faultState: make(map[string]*faultState),
-		policy:     HealthPolicy{}.withDefaults(),
+		policy:     HealthPolicy{}.WithDefaults(DefaultQuarantineBase, DefaultQuarantineMax),
 	}
 	f.cond = sync.NewCond(&f.mu)
 	return f
@@ -136,13 +137,11 @@ func (f *Farm) TryAcquire(platform, holder string) *Device {
 func (f *Farm) tryAcquireLocked(platform, holder string, now time.Time) *Device {
 	q := f.idle[platform]
 	for i, d := range q {
-		h := f.health[d.ID]
-		if h != nil && h.quarantined(now) {
-			continue
-		}
-		if h != nil && !h.quarantinedUntil.IsZero() {
-			h.probation = true
-			h.quarantinedUntil = time.Time{}
+		if h := f.health[d.ID]; h != nil {
+			if h.Open(now) {
+				continue
+			}
+			h.Probe(now)
 		}
 		f.idle[platform] = append(q[:i], q[i+1:]...)
 		f.held[d.ID] = holder

@@ -2,122 +2,66 @@ package hwsim
 
 import (
 	"time"
+
+	"nnlqp/internal/breaker"
 )
 
-// Device health: every measurement outcome updates an EWMA success score per
-// device. A device whose score sinks below the quarantine threshold is
-// pulled from the pool for a backoff window; when the window expires it is
-// handed out again on probation — one success fully rehabilitates it, one
-// failure re-quarantines it with a doubled window (capped). This keeps a
-// single wedged board from eating the retry budget of every query while
-// still letting recovered hardware rejoin the fleet automatically.
+// Device health: every measurement outcome feeds the device's breaker (see
+// internal/breaker). A device whose EWMA success score sinks below the
+// threshold is pulled from the pool for a doubling backoff window, then handed
+// out again on probation. This keeps a single wedged board from eating the
+// retry budget of every query while still letting recovered hardware rejoin
+// the fleet automatically.
 
-// Quarantine policy defaults; override with SetQuarantinePolicy.
+// Quarantine window defaults; override with SetQuarantinePolicy.
 const (
-	DefaultQuarantineThreshold = 0.35
-	DefaultQuarantineBase      = 2 * time.Second
-	DefaultQuarantineMax       = 60 * time.Second
-	healthDecay                = 0.65 // EWMA weight kept on failure/success
+	DefaultQuarantineBase = 2 * time.Second
+	DefaultQuarantineMax  = 60 * time.Second
 )
-
-// deviceHealth is per-device fault-tolerance state, guarded by Farm.mu.
-type deviceHealth struct {
-	score            float64 // EWMA of success(1)/failure(0), starts at 1
-	quarantinedUntil time.Time
-	backoff          time.Duration
-	probation        bool
-}
-
-func (h *deviceHealth) quarantined(now time.Time) bool {
-	return now.Before(h.quarantinedUntil)
-}
 
 // HealthPolicy configures when devices are quarantined and for how long.
-type HealthPolicy struct {
-	// Threshold is the EWMA score below which a device is quarantined.
-	Threshold float64
-	// Base/Max bound the exponential quarantine window.
-	Base, Max time.Duration
-}
-
-func (p HealthPolicy) withDefaults() HealthPolicy {
-	if p.Threshold <= 0 {
-		p.Threshold = DefaultQuarantineThreshold
-	}
-	if p.Base <= 0 {
-		p.Base = DefaultQuarantineBase
-	}
-	if p.Max <= 0 {
-		p.Max = DefaultQuarantineMax
-	}
-	return p
-}
+type HealthPolicy = breaker.Policy
 
 // SetQuarantinePolicy overrides the farm's health policy (zero fields keep
 // their defaults). Safe to call while serving.
 func (f *Farm) SetQuarantinePolicy(p HealthPolicy) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.policy = p.withDefaults()
+	f.policy = p.WithDefaults(DefaultQuarantineBase, DefaultQuarantineMax)
 }
 
-// healthOf returns (allocating on first use) a device's health state.
-// Callers must hold f.mu.
-func (f *Farm) healthOf(deviceID string) *deviceHealth {
+// healthOf returns (allocating on first use) a device's breaker. Callers
+// must hold f.mu.
+func (f *Farm) healthOf(deviceID string) *breaker.Breaker {
 	h := f.health[deviceID]
 	if h == nil {
-		h = &deviceHealth{score: 1}
+		b := breaker.New()
+		h = &b
 		f.health[deviceID] = h
 	}
 	return h
 }
 
-// reportResult folds one measurement outcome into the device's health score
-// and quarantines it when the score crosses the threshold. Failures that are
-// not device-attributed (unsupported op, invalid model, caller cancellation)
-// leave the score untouched.
+// quarantinedLocked reports whether the device sits inside an unexpired
+// quarantine window. Callers must hold f.mu.
+func (f *Farm) quarantinedLocked(deviceID string, now time.Time) bool {
+	h := f.health[deviceID]
+	return h != nil && h.Open(now)
+}
+
+// reportResult folds one measurement outcome into the device's breaker.
+// Failures that are not device-attributed (unsupported op, invalid model,
+// caller cancellation) leave it untouched.
 func (f *Farm) reportResult(d *Device, err error) {
-	deviceFault := err != nil && IsRetryable(err)
-	if err != nil && !deviceFault {
+	if err != nil && !IsRetryable(err) {
 		return
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	h := f.healthOf(d.ID)
-	now := time.Now()
-	if err == nil {
-		h.score = healthDecay*h.score + (1 - healthDecay)
-		// A probe that answered: full rehabilitation.
-		if h.probation {
-			h.probation = false
-			h.backoff = 0
-			h.score = 1
-		}
-		return
+	if f.healthOf(d.ID).Report(err == nil, f.policy, time.Now()) {
+		f.quarantines++
+		f.cond.Broadcast() // waiters in Acquire must re-check allQuarantinedLocked
 	}
-	h.score = healthDecay * h.score
-	if h.probation || h.score < f.policy.Threshold {
-		f.quarantineLocked(h, now)
-	}
-}
-
-// quarantineLocked pulls a device out of rotation for its (doubling) backoff
-// window. Callers must hold f.mu.
-func (f *Farm) quarantineLocked(h *deviceHealth, now time.Time) {
-	if h.backoff <= 0 {
-		h.backoff = f.policy.Base
-	} else {
-		h.backoff *= 2
-		if h.backoff > f.policy.Max {
-			h.backoff = f.policy.Max
-		}
-	}
-	h.quarantinedUntil = now.Add(h.backoff)
-	h.probation = false
-	h.score = 1 // a probe failure re-judges the device from scratch
-	f.quarantines++
-	// Waiters blocked in Acquire must re-check allQuarantinedLocked.
-	f.cond.Broadcast()
 }
 
 // Quarantine forces a device out of rotation for d (an admin hook, also
@@ -125,9 +69,7 @@ func (f *Farm) quarantineLocked(h *deviceHealth, now time.Time) {
 func (f *Farm) Quarantine(deviceID string, d time.Duration) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	h := f.healthOf(deviceID)
-	h.quarantinedUntil = time.Now().Add(d)
-	h.probation = false
+	f.healthOf(deviceID).ForceOpen(time.Now().Add(d))
 	f.quarantines++
 	f.cond.Broadcast()
 }
@@ -140,25 +82,23 @@ func (f *Farm) allQuarantinedLocked(platform string, now time.Time) bool {
 		return false
 	}
 	for _, d := range devs {
-		h := f.health[d.ID]
-		if h == nil || !h.quarantined(now) {
+		if !f.quarantinedLocked(d.ID, now) {
 			return false
 		}
 	}
 	return true
 }
 
-// earliestQuarantineExpiryLocked returns the soonest quarantinedUntil among
-// the platform's currently quarantined idle devices. Callers must hold f.mu.
+// earliestQuarantineExpiryLocked returns the soonest window end among the
+// platform's currently quarantined idle devices. Callers must hold f.mu.
 func (f *Farm) earliestQuarantineExpiryLocked(platform string, now time.Time) (time.Time, bool) {
 	var earliest time.Time
 	for _, d := range f.idle[platform] {
-		h := f.health[d.ID]
-		if h == nil || !h.quarantined(now) {
+		if !f.quarantinedLocked(d.ID, now) {
 			continue
 		}
-		if earliest.IsZero() || h.quarantinedUntil.Before(earliest) {
-			earliest = h.quarantinedUntil
+		if until := f.health[d.ID].OpenUntil(); earliest.IsZero() || until.Before(earliest) {
+			earliest = until
 		}
 	}
 	return earliest, !earliest.IsZero()
@@ -179,7 +119,7 @@ func (f *Farm) Health() HealthStats {
 	now := time.Now()
 	st := HealthStats{Quarantines: f.quarantines}
 	for _, h := range f.health {
-		if h.quarantined(now) {
+		if h.Open(now) {
 			st.QuarantinedNow++
 		}
 	}
@@ -193,8 +133,7 @@ func (f *Farm) HealthyDevices(platform string) int {
 	now := time.Now()
 	n := 0
 	for _, d := range f.all[platform] {
-		h := f.health[d.ID]
-		if h == nil || !h.quarantined(now) {
+		if !f.quarantinedLocked(d.ID, now) {
 			n++
 		}
 	}

@@ -9,6 +9,7 @@ import (
 
 	"nnlqp/internal/graphhash"
 	"nnlqp/internal/hwsim"
+	"nnlqp/internal/lru"
 	"nnlqp/internal/models"
 )
 
@@ -16,15 +17,18 @@ func ck(i int) CacheKey {
 	return CacheKey{Hash: graphhash.Key(i), Platform: "p", Batch: 1}
 }
 
+// shardOf is the L1 shard a key lands on.
+func shardOf(k CacheKey) int { return lru.Shard(cacheHash(k)) }
+
 func TestCacheLRUEviction(t *testing.T) {
 	// One entry of capacity per shard: inserting two keys on the same shard
 	// must evict the older one.
-	c := NewCache(cacheShards, time.Minute)
+	c := NewCache(lru.Shards, time.Minute)
 	var a, b CacheKey
 	found := false
 	for i := 0; i < 1000 && !found; i++ {
 		for j := i + 1; j < 1000; j++ {
-			if c.shard(ck(i)) == c.shard(ck(j)) {
+			if shardOf(ck(i)) == shardOf(ck(j)) {
 				a, b, found = ck(i), ck(j), true
 				break
 			}
@@ -48,12 +52,12 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 func TestCacheLRUOrderRefreshedByGet(t *testing.T) {
-	c := NewCache(2*cacheShards, time.Minute)
+	c := NewCache(2*lru.Shards, time.Minute)
 	// Find three keys on one shard: insert a, b; touch a; insert c → b out.
 	var keys []CacheKey
-	target := c.shard(ck(0))
+	target := shardOf(ck(0))
 	for i := 0; len(keys) < 3 && i < 10000; i++ {
-		if c.shard(ck(i)) == target {
+		if shardOf(ck(i)) == target {
 			keys = append(keys, ck(i))
 		}
 	}
@@ -313,5 +317,34 @@ func TestQueryConcurrentL1(t *testing.T) {
 	close(errCh)
 	for err := range errCh {
 		t.Fatal(err)
+	}
+}
+
+// TestL1HitAllocs pins the L1 hit path at its allocation count before the
+// cache moved onto internal/lru: a Cache.Get hit allocates nothing, and a
+// System.Query L1 hit allocates only its Result.
+func TestL1HitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are not meaningful under -race instrumentation")
+	}
+	c := NewCache(0, time.Minute)
+	c.Put(ck(5), CacheValue{LatencyMS: 1})
+	if avg := testing.AllocsPerRun(1000, func() { c.Get(ck(5)) }); avg != 0 {
+		t.Fatalf("Cache.Get hit allocates %.1f objects/op, want 0", avg)
+	}
+
+	s := newSystem(t)
+	g := models.BuildSqueezeNet(models.BaseSqueezeNet(1))
+	if _, err := s.Query(context.Background(), g, hwsim.DatasetPlatform); err != nil {
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(1000, func() {
+		r, err := s.Query(context.Background(), g, hwsim.DatasetPlatform)
+		if err != nil || r.Tier != "l1" {
+			t.Fatalf("query = %+v, %v; want an l1 hit", r, err)
+		}
+	})
+	if avg != 1 {
+		t.Fatalf("System.Query L1 hit allocates %.1f objects/op, want 1 (the Result)", avg)
 	}
 }

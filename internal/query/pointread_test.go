@@ -10,49 +10,6 @@ import (
 	"nnlqp/internal/models"
 )
 
-// legacyStorage hides *db.Store's point-read fast path behind the bare
-// Storage interface, forcing the query system down the record-materializing
-// probe older storage tiers provide.
-type legacyStorage struct{ Storage }
-
-// TestProbeL2StorageEquivalence pins that the lean point-read probe and the
-// legacy record probe answer L2 hits identically — same latency, same
-// model/platform IDs, same tier — so swapping a storage tier that lacks the
-// fast path changes cost, never answers.
-func TestProbeL2StorageEquivalence(t *testing.T) {
-	g := models.BuildSqueezeNet(models.BaseSqueezeNet(1))
-	run := func(t *testing.T, wrap func(Storage) Storage, wantPoints bool) *Result {
-		store, err := db.OpenStore("")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { store.Close() })
-		s := New(wrap(store), &hwsim.LocalFarm{Farm: hwsim.NewDefaultFarm(2)})
-		if (s.points != nil) != wantPoints {
-			t.Fatalf("points = %v, want present=%v", s.points, wantPoints)
-		}
-		if _, err := s.Query(context.Background(), g, hwsim.DatasetPlatform); err != nil {
-			t.Fatal(err)
-		}
-		s.FlushCache() // force the repeat back to the durable tier
-		r, err := s.Query(context.Background(), g, hwsim.DatasetPlatform)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !r.Hit || r.Tier != "l2" {
-			t.Fatalf("hit=%v tier=%q, want an l2 hit", r.Hit, r.Tier)
-		}
-		return r
-	}
-
-	lean := run(t, func(s Storage) Storage { return s }, true)
-	legacy := run(t, func(s Storage) Storage { return legacyStorage{s} }, false)
-	if lean.LatencyMS != legacy.LatencyMS ||
-		lean.ModelID != legacy.ModelID || lean.PlatformID != legacy.PlatformID {
-		t.Fatalf("lean %+v != legacy %+v", lean, legacy)
-	}
-}
-
 // TestQueryHitL2Allocs pins the full serving-path L2 hit — hash, platform-id
 // memo, point read, L1 promote — to a handful of allocations. The seed
 // version of this path allocated over a thousand objects per probe (platform

@@ -46,27 +46,17 @@ type Measurer interface {
 // store operations serving needs, so the query system no longer owns a
 // concrete *db.Store. A process can hand the same *db.Store (which satisfies
 // this interface) to several serving cores, or swap in an alternative durable
-// tier, without the query layer knowing.
+// tier, without the query layer knowing. The reads are allocation-lean point
+// lookups: an ID-only model resolution that skips the stored ONNX decode and
+// a by-value latency read.
 type Storage interface {
 	InsertPlatform(name, hardware, software, dataType string) (*db.PlatformRecord, error)
-	FindModelByHash(key graphhash.Key) (*db.ModelRecord, bool, error)
-	FindLatency(modelID, platformID uint64, batch int) (*db.LatencyRecord, bool, error)
+	ModelIDByHash(key graphhash.Key) (uint64, bool, error)
+	LatencyValue(modelID, platformID uint64, batch int) (db.LatencyRecord, bool, error)
 	RecordMeasurement(g *onnx.Graph, platformID uint64, rec db.LatencyRecord) (modelID uint64, latencyMS float64, err error)
 	InsertModel(g *onnx.Graph) (*db.ModelRecord, error)
 	InsertLatency(rec db.LatencyRecord) (uint64, error)
 	Counts() (models, platforms, latencies int)
-}
-
-// pointReader is the allocation-lean point-lookup surface the serving path
-// prefers when the storage tier provides it (*db.Store does): an ID-only
-// model resolution that skips the stored ONNX decode, a by-value latency
-// read, and a name→id platform resolution. The Storage interface stays the
-// required contract; this is a fast path discovered by type assertion, so
-// alternative durable tiers keep working unmodified.
-type pointReader interface {
-	ModelIDByHash(key graphhash.Key) (uint64, bool, error)
-	LatencyValue(modelID, platformID uint64, batch int) (db.LatencyRecord, bool, error)
-	PlatformIDByName(name string) (uint64, bool, error)
 }
 
 // DeviceCounter is optionally implemented by farms that can report how many
@@ -120,11 +110,10 @@ type GenerationPredictor interface {
 // System is the NNLQ service: storage plus a device farm, fronted by an
 // in-process L1 cache (see cache.go); the durable store is the L2 tier.
 type System struct {
-	store  Storage
-	points pointReader // non-nil when store supports lean point reads
-	farm   Measurer
-	cache  *Cache
-	obs    *obsLog
+	store Storage
+	farm  Measurer
+	cache *Cache
+	obs   *obsLog
 
 	// platIDs memoizes platform name → row id. Platform rows are insert-only
 	// (idempotent upsert, no delete path), so a resolved id stays valid for
@@ -236,12 +225,10 @@ func NewWith(store Storage, farm Measurer, cache *Cache) *System {
 	if cache == nil {
 		cache = NewCache(0, 0)
 	}
-	s := &System{
+	return &System{
 		store: store, farm: farm, cache: cache, obs: newObsLog(0),
 		inflight: make(map[string]*flight), platIDs: make(map[string]uint64),
 	}
-	s.points, _ = store.(pointReader)
-	return s
 }
 
 // ConfigureCache replaces the L1 with one of the given capacity and negative
@@ -532,32 +519,20 @@ func (s *System) platformID(p *hwsim.Platform) (uint64, error) {
 }
 
 // probeL2 performs the single-row (graph_hash, platform, batch) read that
-// every L1 miss pays. With a pointReader store this is the lean path: an
-// ID-only model lookup (no stored-ONNX decode) and a by-value latency read
-// on a stack-rendered key. Other Storage implementations take the record
-// path they always did. A found model with no latency row still reports its
-// modelID so the caller can surface it on the miss result.
+// every L1 miss pays: an ID-only model lookup (no stored-ONNX decode) and a
+// by-value latency read on a stack-rendered key. A found model with no
+// latency row still reports its modelID so the caller can surface it on the
+// miss result.
 func (s *System) probeL2(key graphhash.Key, platformID uint64, batch int) (modelID uint64, latencyMS float64, hit bool, err error) {
-	if s.points != nil {
-		id, ok, err := s.points.ModelIDByHash(key)
-		if err != nil || !ok {
-			return 0, 0, false, err
-		}
-		lv, ok, err := s.points.LatencyValue(id, platformID, batch)
-		if err != nil || !ok {
-			return id, 0, false, err
-		}
-		return id, lv.LatencyMS, true, nil
-	}
-	mrec, ok, err := s.store.FindModelByHash(key)
+	id, ok, err := s.store.ModelIDByHash(key)
 	if err != nil || !ok {
 		return 0, 0, false, err
 	}
-	lrec, ok, err := s.store.FindLatency(mrec.ID, platformID, batch)
+	lv, ok, err := s.store.LatencyValue(id, platformID, batch)
 	if err != nil || !ok {
-		return mrec.ID, 0, false, err
+		return id, 0, false, err
 	}
-	return mrec.ID, lrec.LatencyMS, true, nil
+	return id, lv.LatencyMS, true, nil
 }
 
 // shouldDegrade decides whether a measurement failure is worth answering

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"nnlqp/internal/breaker"
 	"nnlqp/internal/hwsim"
 	"nnlqp/internal/onnx"
 )
@@ -102,14 +103,14 @@ type ResilienceCounters struct {
 // ResilientFarm decorates a Measurer; it implements Measurer itself plus
 // the optional DeviceCounter/WaitTracker/HealthTracker pass-throughs.
 type ResilientFarm struct {
-	inner Measurer
-	cfg   ResilienceConfig
+	inner  Measurer
+	cfg    ResilienceConfig
+	budget *breaker.Budget
 
 	attempts, retries, hedges, hedgeWins, budgetExhausted atomic.Int64
 
-	mu     sync.Mutex
-	budget float64
-	rng    *rand.Rand
+	mu  sync.Mutex
+	rng *rand.Rand
 	// lat is a ring of recent successful attempt durations feeding the
 	// hedge-delay percentile.
 	lat  [128]time.Duration
@@ -126,7 +127,7 @@ func NewResilientFarm(inner Measurer, cfg ResilienceConfig) *ResilientFarm {
 	return &ResilientFarm{
 		inner:  inner,
 		cfg:    cfg,
-		budget: cfg.RetryBudget,
+		budget: breaker.NewBudget(cfg.RetryBudget, cfg.RetryRefill),
 		rng:    rand.New(rand.NewSource(seed)),
 	}
 }
@@ -140,27 +141,6 @@ func (rf *ResilientFarm) Counters() ResilienceCounters {
 		HedgeWins:       rf.hedgeWins.Load(),
 		BudgetExhausted: rf.budgetExhausted.Load(),
 	}
-}
-
-// spendToken takes one retry/hedge token; false means the budget is empty.
-func (rf *ResilientFarm) spendToken() bool {
-	rf.mu.Lock()
-	defer rf.mu.Unlock()
-	if rf.budget < 1 {
-		return false
-	}
-	rf.budget--
-	return true
-}
-
-// refund credits the budget after a successful call.
-func (rf *ResilientFarm) refund() {
-	rf.mu.Lock()
-	rf.budget += rf.cfg.RetryRefill
-	if rf.budget > rf.cfg.RetryBudget {
-		rf.budget = rf.cfg.RetryBudget
-	}
-	rf.mu.Unlock()
 }
 
 // observe records a successful attempt duration for the hedge percentile.
@@ -218,7 +198,7 @@ func (rf *ResilientFarm) Measure(ctx context.Context, platform string, g *onnx.G
 	var lastErr error
 	for attempt := 1; attempt <= rf.cfg.MaxAttempts; attempt++ {
 		if attempt > 1 {
-			if !rf.spendToken() {
+			if !rf.budget.Spend() {
 				rf.budgetExhausted.Add(1)
 				return nil, fmt.Errorf("resilience: retry budget exhausted after %d attempts: %w", attempt-1, lastErr)
 			}
@@ -232,7 +212,7 @@ func (rf *ResilientFarm) Measure(ctx context.Context, platform string, g *onnx.G
 		res, err := rf.hedgedAttempt(ctx, platform, g, holder)
 		if err == nil {
 			if attempt == 1 {
-				rf.refund()
+				rf.budget.Refund()
 			}
 			return res, nil
 		}
@@ -289,7 +269,7 @@ func (rf *ResilientFarm) hedgedAttempt(ctx context.Context, platform string, g *
 		select {
 		case <-hedgeTimer:
 			hedgeTimer = nil
-			if launched < maxLaunches && rf.spendToken() {
+			if launched < maxLaunches && rf.budget.Spend() {
 				rf.hedges.Add(1)
 				launch(true, holder+"+hedge")
 				launched++

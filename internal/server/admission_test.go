@@ -3,7 +3,9 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"sort"
 	"strconv"
 	"sync"
@@ -11,6 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"nnlqp/internal/db"
+	"nnlqp/internal/hwsim"
 	"nnlqp/internal/models"
 	"nnlqp/internal/slo"
 )
@@ -290,5 +294,95 @@ func TestAdmissionStatsInvariantUnderConcurrentHTTPLoad(t *testing.T) {
 	}
 	if st.AdmitQueueNow != 0 {
 		t.Fatalf("admit_queue_now %d after drain, want 0", st.AdmitQueueNow)
+	}
+}
+
+// TestAdmissionOverRateFloodSheds pins the overload contract at the HTTP
+// surface: concurrent clients flooding far above the admission rate for about
+// a second get fast 429 sheds, and the 200s stay within rate·wall + burst + 1.
+// More would mean the server queued unboundedly instead of shedding.
+func TestAdmissionOverRateFloodSheds(t *testing.T) {
+	const (
+		rate, burst = 30.0, 5.0
+		clients     = 8
+		platform    = "cpu-openppl-fp32"
+	)
+	store, err := db.OpenStore("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	srv := New(store, &hwsim.LocalFarm{Farm: hwsim.NewDefaultFarm(2)}, nil)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+
+	// Warm the graph before admission is on, so every admitted request is an
+	// instant L1 hit and the flood measures the admission layer alone.
+	g := models.BuildSqueezeNet(models.BaseSqueezeNet(1))
+	if _, err := NewClient(ts.URL).Query(g, platform, 0); err != nil {
+		t.Fatalf("warm query: %v", err)
+	}
+	req, err := encodeRequest(g, platform, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.ConfigureAdmission(AdmissionConfig{Rate: rate, Burst: burst, QueueCap: 4})
+
+	var sent, oks, sheds atomic.Int64
+	var wg sync.WaitGroup
+	start := time.Now()
+	deadline := start.Add(time.Second)
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for time.Now().Before(deadline) {
+				sent.Add(1)
+				resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Errorf("post: %v", err)
+					return
+				}
+				resp.Body.Close()
+				switch resp.StatusCode {
+				case http.StatusOK:
+					oks.Add(1)
+				case http.StatusTooManyRequests:
+					sheds.Add(1)
+				default:
+					t.Errorf("status %d, want 200 or 429", resp.StatusCode)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	wall := time.Since(start)
+	if t.Failed() {
+		return
+	}
+
+	if sheds.Load() == 0 {
+		t.Fatalf("%d clients against a %v/s bucket shed nothing (%d ok)", clients, rate, oks.Load())
+	}
+	if oks.Load() == 0 {
+		t.Fatalf("the flood shed everything (%d sheds)", sheds.Load())
+	}
+	if limit := rate*wall.Seconds() + burst + 1; float64(oks.Load()) > limit {
+		t.Fatalf("%d admitted > rate·wall + burst + 1 = %.1f: queueing, not shedding", oks.Load(), limit)
+	}
+	st, err := NewClient(ts.URL).Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.AdmitRequests != st.Admitted+st.Shed {
+		t.Fatalf("invariant broken: admit_requests %d != admitted %d + shed %d", st.AdmitRequests, st.Admitted, st.Shed)
+	}
+	if st.AdmitRequests != sent.Load() {
+		t.Fatalf("admit_requests %d != requests sent %d", st.AdmitRequests, sent.Load())
 	}
 }

@@ -6,8 +6,8 @@
 // request never waits behind queued best-effort traffic.
 //
 // The package sits at the bottom of the dependency graph (stdlib only) so
-// hwsim, query, server, cluster and workload can all share one vocabulary
-// without cycles.
+// hwsim, query, server and cluster can all share one vocabulary without
+// cycles.
 package slo
 
 import (
