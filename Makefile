@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race chaos fuzz check fmt vet loc bench bench-smoke bench-db bench-query bench-predict bench-retrain bench-cluster bench-kernels profile
+.PHONY: build test race chaos fuzz check fmt vet deadcode loc bench bench-smoke bench-db bench-query bench-predict bench-retrain bench-cluster bench-kernels profile
 
 build:
 	$(GO) build ./...
@@ -46,7 +46,14 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-check: fmt vet build race test
+# Functions under internal/ that no binary links. tools/deadcode builds the
+# roots (./cmd/*, ./examples/*, ./benchmark) with inlining off, reads their
+# symbols with `go tool nm`, and fails unless the unlinked non-test functions
+# are exactly the entries of tools/deadcode/allow.txt, each with its reason.
+deadcode:
+	$(GO) run ./tools/deadcode
+
+check: fmt vet build deadcode race test
 
 # Non-test Go line counts per package under internal/ and cmd/, plus the total
 # (plain wc -l, comments and blank lines included): the number the ROADMAP's

@@ -64,9 +64,6 @@ func NewMember(name, addr string) *Member {
 // Name returns the member's display name.
 func (m *Member) Name() string { return m.name }
 
-// Addr returns the replica's host:port.
-func (m *Member) Addr() string { return m.addr }
-
 // Load is the member's outstanding-request estimate: the router's own
 // in-flight count plus the gauge the replica reported on its last probe.
 func (m *Member) Load() int64 { return m.inflight.Load() + m.remoteInFlight.Load() }
@@ -87,15 +84,6 @@ func (m *Member) reportResult(ok bool) {
 	if m.health.Report(ok, m.policy, time.Now()) {
 		m.ejections++
 	}
-}
-
-// Eject forces the member out of rotation for d (an admin hook, also used by
-// tests and chaos to stage membership churn).
-func (m *Member) Eject(d time.Duration) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.health.ForceOpen(time.Now().Add(d))
-	m.ejections++
 }
 
 // maybeReadmit moves a member whose ejection window has expired onto
@@ -174,31 +162,6 @@ func (ms *Membership) Add(m *Member) {
 		}
 	}
 	ms.members = append(ms.members, m)
-}
-
-// Remove drops the named member; it reports whether one was found.
-func (ms *Membership) Remove(name string) bool {
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	for i, m := range ms.members {
-		if m.name == name {
-			ms.members = append(ms.members[:i:i], ms.members[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
-// Lookup returns the named member, if registered.
-func (ms *Membership) Lookup(name string) (*Member, bool) {
-	ms.mu.RLock()
-	defer ms.mu.RUnlock()
-	for _, m := range ms.members {
-		if m.name == name {
-			return m, true
-		}
-	}
-	return nil, false
 }
 
 // Members snapshots the full membership, healthy or not.

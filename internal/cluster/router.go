@@ -141,9 +141,6 @@ func New(cfg Config) *Router {
 	}
 }
 
-// Policy returns the routing policy in use.
-func (rt *Router) Policy() Policy { return rt.cfg.Policy }
-
 // Members exposes the membership for registration and inspection.
 func (rt *Router) Members() *Membership { return rt.members }
 

@@ -13,6 +13,14 @@ import (
 	"time"
 )
 
+// Eject forces the member out of rotation for d, staging membership churn.
+func (m *Member) Eject(d time.Duration) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.health.ForceOpen(time.Now().Add(d))
+	m.ejections++
+}
+
 // fakeReplica is a scriptable stand-in for one nnlqp-server replica.
 type fakeReplica struct {
 	srv     *httptest.Server
@@ -439,7 +447,7 @@ func TestRetryBudgetExhaustionFailsFast(t *testing.T) {
 func TestRouterServeEndToEnd(t *testing.T) {
 	f := newFakeReplica(t)
 	rt := New(Config{ProbeInterval: 10 * time.Millisecond})
-	rt.AddReplica("solo", f.addr())
+	m := rt.AddReplica("solo", f.addr())
 	addr, stop, err := rt.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -468,7 +476,6 @@ func TestRouterServeEndToEnd(t *testing.T) {
 	// The background prober should refresh the member gauge on its own.
 	f.setStats(`{"in_flight":4}`, false)
 	deadline := time.Now().Add(3 * time.Second)
-	m, _ := rt.Members().Lookup("solo")
 	for m.remoteInFlight.Load() != 4 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -52,6 +52,3 @@ func (m *PredictMemo) Put(hash uint64, platform string, generation uint64, laten
 
 // Stats sums counters across shards.
 func (m *PredictMemo) Stats() MemoStats { return m.lru.Stats() }
-
-// Len returns the number of cached predictions.
-func (m *PredictMemo) Len() int { return m.lru.Stats().Size }

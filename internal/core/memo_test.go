@@ -69,7 +69,7 @@ func TestPredictMemoConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if n := m.Len(); n > 64 {
+	if n := m.Stats().Size; n > 64 {
 		t.Fatalf("size %d exceeds capacity", n)
 	}
 }

@@ -291,81 +291,3 @@ func (n *btreeNode) ascend(fn func(key, val uint64) bool) bool {
 	}
 	return true
 }
-
-// AscendRange visits pairs with lo <= key < hi in ascending order.
-func (t *BTree) AscendRange(lo, hi uint64, fn func(key, val uint64) bool) {
-	t.Ascend(func(k, v uint64) bool {
-		if k < lo {
-			return true
-		}
-		if k >= hi {
-			return false
-		}
-		return fn(k, v)
-	})
-}
-
-// depth returns the tree height (for invariants testing).
-func (t *BTree) depth() int {
-	d := 1
-	for n := t.root; !n.leaf; n = n.children[0] {
-		d++
-	}
-	return d
-}
-
-// checkInvariants validates B-tree structural invariants; used by tests.
-func (t *BTree) checkInvariants() error {
-	return t.root.check(true, 0, ^uint64(0), t.depth(), 1)
-}
-
-func (n *btreeNode) check(isRoot bool, lo, hi uint64, depth, level int) error {
-	if !isRoot && len(n.keys) < btreeDegree-1 {
-		return errUnderfull
-	}
-	if len(n.keys) > 2*btreeDegree-1 {
-		return errOverfull
-	}
-	for i := range n.keys {
-		if n.keys[i] < lo || n.keys[i] > hi {
-			return errOutOfOrder
-		}
-		if i > 0 && n.keys[i-1] >= n.keys[i] {
-			return errOutOfOrder
-		}
-	}
-	if n.leaf {
-		if level != depth {
-			return errUnevenLeaves
-		}
-		return nil
-	}
-	if len(n.children) != len(n.keys)+1 {
-		return errChildCount
-	}
-	for i, c := range n.children {
-		clo, chi := lo, hi
-		if i > 0 {
-			clo = n.keys[i-1] + 1
-		}
-		if i < len(n.keys) {
-			chi = n.keys[i] - 1
-		}
-		if err := c.check(false, clo, chi, depth, level+1); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-type btreeError string
-
-func (e btreeError) Error() string { return string(e) }
-
-const (
-	errUnderfull    = btreeError("db: btree node underfull")
-	errOverfull     = btreeError("db: btree node overfull")
-	errOutOfOrder   = btreeError("db: btree keys out of order")
-	errUnevenLeaves = btreeError("db: btree leaves at different depths")
-	errChildCount   = btreeError("db: btree child count mismatch")
-)

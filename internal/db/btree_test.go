@@ -110,27 +110,6 @@ func TestBTreeDeleteAll(t *testing.T) {
 	}
 }
 
-func TestBTreeAscendRange(t *testing.T) {
-	bt := NewBTree()
-	for i := uint64(0); i < 100; i += 2 {
-		bt.Set(i, i)
-	}
-	var got []uint64
-	bt.AscendRange(10, 20, func(k, _ uint64) bool {
-		got = append(got, k)
-		return true
-	})
-	want := []uint64{10, 12, 14, 16, 18}
-	if len(got) != len(want) {
-		t.Fatalf("range = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("range = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestBTreeAscendEarlyStop(t *testing.T) {
 	bt := NewBTree()
 	for i := uint64(0); i < 100; i++ {
@@ -178,3 +157,68 @@ func TestBTreeMatchesMapProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// depth returns the tree height.
+func (t *BTree) depth() int {
+	d := 1
+	for n := t.root; !n.leaf; n = n.children[0] {
+		d++
+	}
+	return d
+}
+
+// checkInvariants validates the B-tree structural invariants.
+func (t *BTree) checkInvariants() error {
+	return t.root.check(true, 0, ^uint64(0), t.depth(), 1)
+}
+
+func (n *btreeNode) check(isRoot bool, lo, hi uint64, depth, level int) error {
+	if !isRoot && len(n.keys) < btreeDegree-1 {
+		return errUnderfull
+	}
+	if len(n.keys) > 2*btreeDegree-1 {
+		return errOverfull
+	}
+	for i := range n.keys {
+		if n.keys[i] < lo || n.keys[i] > hi {
+			return errOutOfOrder
+		}
+		if i > 0 && n.keys[i-1] >= n.keys[i] {
+			return errOutOfOrder
+		}
+	}
+	if n.leaf {
+		if level != depth {
+			return errUnevenLeaves
+		}
+		return nil
+	}
+	if len(n.children) != len(n.keys)+1 {
+		return errChildCount
+	}
+	for i, c := range n.children {
+		clo, chi := lo, hi
+		if i > 0 {
+			clo = n.keys[i-1] + 1
+		}
+		if i < len(n.keys) {
+			chi = n.keys[i] - 1
+		}
+		if err := c.check(false, clo, chi, depth, level+1); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+type btreeError string
+
+func (e btreeError) Error() string { return string(e) }
+
+const (
+	errUnderfull    = btreeError("db: btree node underfull")
+	errOverfull     = btreeError("db: btree node overfull")
+	errOutOfOrder   = btreeError("db: btree keys out of order")
+	errUnevenLeaves = btreeError("db: btree leaves at different depths")
+	errChildCount   = btreeError("db: btree child count mismatch")
+)

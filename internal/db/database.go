@@ -24,7 +24,7 @@ import (
 //   - Snapshot returns a consistent copy-on-write view across all tables;
 //     scans on it never block writers and never see later commits.
 //
-// Open replays snapshot + WAL to reconstruct state, so the database
+// OpenWith replays snapshot + WAL to reconstruct state, so the database
 // "evolves" across process lifetimes exactly as the paper's MySQL store
 // accumulates latency knowledge over time.
 type Database struct {
@@ -70,15 +70,11 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Open creates or reopens a database at dir with default Options. Pass ""
-// for a purely in-memory database (tests, ephemeral tooling). Schemas must
-// be registered before Open replays rows into them, so Open takes the full
-// schema set up front.
-func Open(dir string, schemas []Schema) (*Database, error) {
-	return OpenWith(dir, schemas, Options{})
-}
-
-// OpenWith is Open with explicit engine Options.
+// OpenWith creates or reopens a database at dir with the given engine
+// Options (zero values select the defaults). Pass "" for a purely in-memory
+// database (tests, ephemeral tooling). Schemas must be registered before
+// replay inserts rows into them, so OpenWith takes the full schema set up
+// front.
 func OpenWith(dir string, schemas []Schema, opts Options) (*Database, error) {
 	d := &Database{tables: make(map[string]*Table), dir: dir, opts: opts.withDefaults()}
 	for _, s := range schemas {
@@ -188,37 +184,6 @@ func (d *Database) Insert(table string, row Row) (uint64, error) {
 		return 0, fmt.Errorf("db: wal commit failed: %w", err)
 	}
 	return id, nil
-}
-
-// Delete removes a row, durably when WAL-backed.
-func (d *Database) Delete(table string, id uint64) (bool, error) {
-	t, err := d.Table(table)
-	if err != nil {
-		return false, err
-	}
-	t.commit.Lock()
-	row, ok := t.Get(id)
-	if !ok {
-		t.commit.Unlock()
-		return false, nil
-	}
-	t.Delete(id)
-	if d.wal == nil {
-		t.commit.Unlock()
-		return true, nil
-	}
-	req := d.wal.enqueue(walDelete, table, encodeRow(Row{row[0]}))
-	t.commit.Unlock()
-	if err := d.wal.await(req); err != nil {
-		t.commit.Lock()
-		_, rerr := t.Insert(row) // roll the delete back
-		t.commit.Unlock()
-		if rerr != nil {
-			return false, fmt.Errorf("db: wal commit failed (%v) and rollback failed: %w", err, rerr)
-		}
-		return false, fmt.Errorf("db: wal commit failed: %w", err)
-	}
-	return true, nil
 }
 
 // lockAllCommits takes every table's commit lock in sorted-name order and

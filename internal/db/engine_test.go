@@ -91,11 +91,15 @@ func TestCheckpointReopenReconstructs(t *testing.T) {
 		}
 	}
 	// Delete a few, including the max-id kv row (its id must not be reused
-	// after reopen).
-	for _, id := range []uint64{ids[3], ids[10], ids[len(ids)-1]} {
-		if ok, err := d.Delete("kv", id); err != nil || !ok {
-			t.Fatalf("delete %d: %v %v", id, ok, err)
-		}
+	// after reopen), through the only path that still deletes durably: WAL
+	// delete records replayed on open.
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	appendWALDeletes(t, dir, "kv", ids[3], ids[10], ids[len(ids)-1])
+	d, err = OpenWith(dir, engineSchemas(), Options{Sync: SyncNever})
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	if err := d.Checkpoint(); err != nil {
@@ -265,7 +269,7 @@ func TestRecoverInterruptedCheckpoint(t *testing.T) {
 // TestSnapshotIsolation: a snapshot never sees commits that happen after
 // it was taken, while the live tables do.
 func TestSnapshotIsolation(t *testing.T) {
-	d, err := Open("", engineSchemas())
+	d, err := OpenWith("", engineSchemas(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,26 +285,29 @@ func TestSnapshotIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := d.Insert("kv", kvRow(10)); err != nil {
+	late, err := d.Insert("kv", kvRow(10))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if ok, err := d.Delete("kv", 1); err != nil || !ok {
-		t.Fatalf("delete: %v %v", ok, err)
+	live, _ := d.Table("kv")
+	if !live.Delete(1) {
+		t.Fatal("delete of row 1 found nothing")
 	}
 
-	if st.Len() != 10 {
-		t.Fatalf("snapshot saw later writes: len %d, want 10", st.Len())
+	n := 0
+	st.Scan(func(Row) bool { n++; return true })
+	if n != 10 {
+		t.Fatalf("snapshot saw later writes: len %d, want 10", n)
 	}
 	if _, ok := st.Get(1); !ok {
 		t.Fatal("snapshot lost a row deleted after it was taken")
 	}
-	if _, ok := st.FindUnique("name", "row-0010"); ok {
+	if _, ok := st.Get(late); ok {
 		t.Fatal("snapshot sees a row inserted after it was taken")
 	}
 	if got := len(st.FindMulti("group", int64(0))); got != 4 {
 		t.Fatalf("snapshot multi-index drifted: %d, want 4", got)
 	}
-	live, _ := d.Table("kv")
 	if live.Len() != 10 { // 10 + 1 insert - 1 delete
 		t.Fatalf("live table len %d, want 10", live.Len())
 	}
@@ -350,7 +357,7 @@ func TestEngineConcurrency(t *testing.T) {
 				default:
 				}
 				kv.FindUnique("name", "w0-0000")
-				kv.FindMulti("group", int64(1))
+				kv.Snapshot().FindMulti("group", int64(1))
 				// Yield between probes: an unpaced lock-acquire spin loop
 				// starves the mutex handoff chain on GOMAXPROCS=1.
 				runtime.Gosched()
@@ -466,7 +473,7 @@ func TestWALFormatCompatible(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, walFile), buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	d, err := Open(dir, engineSchemas())
+	d, err := OpenWith(dir, engineSchemas(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,6 +484,59 @@ func TestWALFormatCompatible(t *testing.T) {
 	}
 	if _, ok := kv.FindUnique("name", "b"); !ok {
 		t.Fatal("surviving row missing")
+	}
+}
+
+// appendWALDeletes appends raw delete records (WAL op 2) for ids to the WAL
+// of the closed database in dir.
+func appendWALDeletes(t *testing.T, dir, table string, ids ...uint64) {
+	t.Helper()
+	f, err := os.OpenFile(filepath.Join(dir, walFile), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ids {
+		if _, err := f.Write(encodeWALRecord(walDelete, table, encodeRow(Row{id}))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWALReplaysDeleteRecord: a delete record appended to a WAL that Insert
+// wrote removes exactly its row on reopen. Nothing in this package writes
+// op 2, but directories written by older binaries hold such records and must
+// still open with their rows gone.
+func TestWALReplaysDeleteRecord(t *testing.T) {
+	dir := t.TempDir()
+	d, err := OpenWith(dir, engineSchemas(), Options{Sync: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []uint64
+	for i := 0; i < 5; i++ {
+		id, err := d.Insert("kv", kvRow(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	want := dumpTables(t, d)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	appendWALDeletes(t, dir, "kv", ids[2])
+
+	d2, err := OpenWith(dir, engineSchemas(), Options{Sync: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	want["kv"] = append(want["kv"][:2:2], want["kv"][3:]...)
+	if got := dumpTables(t, d2); !reflect.DeepEqual(got, want) {
+		t.Fatalf("replay after delete record:\n got %v\nwant %v", got, want)
 	}
 }
 

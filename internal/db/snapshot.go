@@ -8,25 +8,11 @@ import "fmt"
 // them, so snapshot reads never block writers and never see later writes.
 // All methods are lock-free and safe for concurrent use.
 type TableSnapshot struct {
-	schema  Schema
-	colIdx  map[string]int
-	rows    map[uint64]Row
-	pk      *BTree
-	nextID  uint64
-	uniqBT  map[string]*BTree
-	uniq    map[string]map[string]uint64
-	multi   map[string]map[string][]uint64
-	rowSize int64
+	rows   map[uint64]Row
+	pk     *BTree
+	nextID uint64
+	multi  map[string]map[string][]uint64
 }
-
-// Schema returns the table schema.
-func (s *TableSnapshot) Schema() Schema { return s.schema }
-
-// Len returns the snapshot's row count.
-func (s *TableSnapshot) Len() int { return len(s.rows) }
-
-// StorageBytes returns the cumulative encoded size of the snapshot's rows.
-func (s *TableSnapshot) StorageBytes() int64 { return s.rowSize }
 
 // Get returns the row with the given primary key.
 func (s *TableSnapshot) Get(id uint64) (Row, bool) {
@@ -35,30 +21,6 @@ func (s *TableSnapshot) Get(id uint64) (Row, bool) {
 		return nil, false
 	}
 	return append(Row(nil), r...), true
-}
-
-// FindUnique looks a row up by a unique secondary index.
-func (s *TableSnapshot) FindUnique(column string, value any) (Row, bool) {
-	if bt, ok := s.uniqBT[column]; ok {
-		v, isU := value.(uint64)
-		if !isU {
-			return nil, false
-		}
-		id, found := bt.Get(v)
-		if !found {
-			return nil, false
-		}
-		return append(Row(nil), s.rows[id]...), true
-	}
-	idx, ok := s.uniq[column]
-	if !ok {
-		return nil, false
-	}
-	id, found := idx[encodeIndexKey(value)]
-	if !found {
-		return nil, false
-	}
-	return append(Row(nil), s.rows[id]...), true
 }
 
 // FindMulti returns all rows matching a non-unique index value.
@@ -99,13 +61,4 @@ func (s *Snapshot) Table(name string) (*TableSnapshot, error) {
 		return nil, fmt.Errorf("db: no table %q in snapshot", name)
 	}
 	return t, nil
-}
-
-// TotalStorageBytes sums encoded row sizes across the snapshot's tables.
-func (s *Snapshot) TotalStorageBytes() int64 {
-	var total int64
-	for _, t := range s.tables {
-		total += t.rowSize
-	}
-	return total
 }

@@ -95,9 +95,6 @@ func (s *Store) Checkpoint() error { return s.db.Checkpoint() }
 // EngineStats exposes the storage engine counters.
 func (s *Store) EngineStats() EngineStats { return s.db.EngineStats() }
 
-// Snapshot returns a consistent read snapshot across the three tables.
-func (s *Store) Snapshot() *Snapshot { return s.db.Snapshot() }
-
 // DB exposes the underlying database (for tooling and tests).
 func (s *Store) DB() *Database { return s.db }
 

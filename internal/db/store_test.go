@@ -190,7 +190,7 @@ func TestDatabaseToleratesTornWALTail(t *testing.T) {
 }
 
 func TestDatabaseUnknownTable(t *testing.T) {
-	d, err := Open("", Schemas())
+	d, err := OpenWith("", Schemas(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,37 +200,6 @@ func TestDatabaseUnknownTable(t *testing.T) {
 	}
 	if _, err := d.Table("nope"); err == nil {
 		t.Fatal("want unknown-table error")
-	}
-}
-
-func TestDatabaseDelete(t *testing.T) {
-	dir := t.TempDir()
-	d, err := Open(dir, Schemas())
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, err := d.Insert(TablePlatform, Row{uint64(0), "p", "h", "s", "d"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ok, err := d.Delete(TablePlatform, id)
-	if err != nil || !ok {
-		t.Fatalf("Delete: %v %v", ok, err)
-	}
-	ok, err = d.Delete(TablePlatform, id)
-	if err != nil || ok {
-		t.Fatalf("double Delete: %v %v", ok, err)
-	}
-	d.Close()
-	// Deletion must persist.
-	d2, err := Open(dir, Schemas())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d2.Close()
-	tbl, _ := d2.Table(TablePlatform)
-	if tbl.Len() != 0 {
-		t.Fatalf("deleted row resurrected: %d rows", tbl.Len())
 	}
 }
 

@@ -45,7 +45,7 @@ type Row []any
 // Table is one relational table with indexes.
 type Table struct {
 	// commit serializes the apply+WAL-enqueue pair of a durable mutation
-	// (Database.Insert/Delete) and is what Checkpoint/Snapshot take to get
+	// (Database.Insert) and is what Checkpoint/Snapshot take to get
 	// a consistent cross-table cut. It is deliberately separate from mu:
 	// commit is held across the WAL enqueue (never across WAL I/O), mu
 	// only across the in-memory map updates.
@@ -106,9 +106,6 @@ func NewTable(schema Schema) (*Table, error) {
 	return t, nil
 }
 
-// Schema returns the table schema.
-func (t *Table) Schema() Schema { return t.schema }
-
 // Len returns the row count.
 func (t *Table) Len() int {
 	t.mu.RLock()
@@ -132,11 +129,7 @@ func (t *Table) Snapshot() *TableSnapshot {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.shared = true
-	return &TableSnapshot{
-		schema: t.schema, colIdx: t.colIdx, rows: t.rows, pk: t.pk,
-		nextID: t.nextID, uniqBT: t.uniqBT, uniq: t.uniq, multi: t.multi,
-		rowSize: t.rowSize,
-	}
+	return &TableSnapshot{rows: t.rows, pk: t.pk, nextID: t.nextID, multi: t.multi}
 }
 
 // SnapshotScan scans a point-in-time view of the table in primary-key
@@ -423,22 +416,6 @@ func (t *Table) ViewUniqueString(column string, key string, fn func(Row)) bool {
 	}
 	fn(t.rows[id])
 	return true
-}
-
-// FindMulti returns all rows matching a non-unique index value.
-func (t *Table) FindMulti(column string, value any) []Row {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	idx, ok := t.multi[column]
-	if !ok {
-		return nil
-	}
-	ids := idx[encodeIndexKey(value)]
-	out := make([]Row, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, append(Row(nil), t.rows[id]...))
-	}
-	return out
 }
 
 // Scan visits every row in primary-key order until fn returns false.

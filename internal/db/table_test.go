@@ -127,13 +127,13 @@ func TestTableFindMulti(t *testing.T) {
 	tbl.Insert(mkRow(1, "a", 1, "x"))
 	tbl.Insert(mkRow(2, "b", 2, "x"))
 	tbl.Insert(mkRow(3, "c", 3, "y"))
-	if got := tbl.FindMulti("tag", "x"); len(got) != 2 {
+	if got := tbl.Snapshot().FindMulti("tag", "x"); len(got) != 2 {
 		t.Fatalf("FindMulti(x) = %d rows", len(got))
 	}
-	if got := tbl.FindMulti("tag", "z"); len(got) != 0 {
+	if got := tbl.Snapshot().FindMulti("tag", "z"); len(got) != 0 {
 		t.Fatalf("FindMulti(z) = %d rows", len(got))
 	}
-	if got := tbl.FindMulti("name", "a"); got != nil {
+	if got := tbl.Snapshot().FindMulti("name", "a"); got != nil {
 		t.Fatal("FindMulti on non-multi column should return nil")
 	}
 }
@@ -151,7 +151,7 @@ func TestTableDeleteMaintainsIndexes(t *testing.T) {
 	if _, ok := tbl.FindUnique("hash", uint64(1)); ok {
 		t.Fatal("unique index not cleaned")
 	}
-	if got := tbl.FindMulti("tag", "x"); len(got) != 1 {
+	if got := tbl.Snapshot().FindMulti("tag", "x"); len(got) != 1 {
 		t.Fatalf("multi index not cleaned: %d rows", len(got))
 	}
 	// Re-inserting the same unique values must work after delete.

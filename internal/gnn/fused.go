@@ -2,7 +2,6 @@ package gnn
 
 import (
 	"math"
-	"sync"
 
 	"nnlqp/internal/tensor"
 )
@@ -45,9 +44,6 @@ func (c *CSR) Reset() {
 	c.Idx = c.Idx[:0]
 }
 
-// Nodes returns the number of nodes appended so far.
-func (c *CSR) Nodes() int { return len(c.Off) - 1 }
-
 // Neighbors returns node i's neighbour indices.
 func (c *CSR) Neighbors(i int) []int32 { return c.Idx[c.Off[i]:c.Off[i+1]] }
 
@@ -65,10 +61,6 @@ func (c *CSR) AppendGraph(adj [][]int, base int) {
 		c.Off = append(c.Off, int32(len(c.Idx)))
 	}
 }
-
-// csrPool recycles CSR builds for the compatibility wrappers that still
-// accept [][]int adjacency.
-var csrPool = sync.Pool{New: func() any { return new(CSR) }}
 
 // StackedWeights copies [W1;W2] into dst (2In×Out), allocating when dst is
 // nil or mis-shaped. Callers that stack per generation (core's weight plan)
@@ -113,8 +105,8 @@ func concatMeanCSR(xc, x *tensor.Matrix, csr *CSR) {
 }
 
 // l2NormalizeRowsInfer normalizes each row to unit L2 norm in place,
-// leaving near-zero rows untouched — the inference-side twin of
-// Matrix.L2NormalizeRows without the norms slice.
+// leaving near-zero rows untouched — the normalization of ForwardScratch
+// without the per-row norms the backward pass keeps.
 func l2NormalizeRowsInfer(h *tensor.Matrix) {
 	for i := 0; i < h.Rows; i++ {
 		r := h.Row(i)
@@ -136,7 +128,16 @@ func l2NormalizeRowsInfer(h *tensor.Matrix) {
 // ForwardInferCSR is the fused inference forward: one concat fill, one
 // matmul against the stacked weights, one normalization pass. stacked must
 // be the layer's StackedWeights result (pass nil to stack into scratch per
-// call). Outputs are bit-identical to ForwardScratch/ForwardInfer.
+// call). Outputs are bit-identical to ForwardScratch.
+//
+// It is also the batched forward: a micro-batch of B graphs packed into one
+// (Σ nodes)×In matrix with a block-diagonal CSR (AppendGraph offsets each
+// graph's neighbour indices by its node-range start) goes through in a
+// single call, and every row comes out bit-identical to the per-graph
+// forward — rows of a matmul, the mean aggregation and the L2 normalization
+// are all row-independent. Intermediates draw from the capacity pool, so
+// varying batch compositions stay allocation-free once the arena has seen
+// the widest one.
 func (l *SAGEConv) ForwardInferCSR(x *tensor.Matrix, csr *CSR, stacked *tensor.Matrix, sc *tensor.Scratch) *tensor.Matrix {
 	if stacked == nil {
 		stacked = l.StackedWeights(sc.GetAtLeastRaw(2*l.In, l.Out))

@@ -17,8 +17,8 @@ func TestCSRAppendGraph(t *testing.T) {
 	c.Reset()
 	c.AppendGraph(adj1, 0)
 	c.AppendGraph(adj2, 3)
-	if c.Nodes() != 5 {
-		t.Fatalf("Nodes = %d, want 5", c.Nodes())
+	if n := len(c.Off) - 1; n != 5 {
+		t.Fatalf("nodes = %d, want 5", n)
 	}
 	want := [][]int32{{1, 2}, {}, {0, 1}, {4}, {3}}
 	for i, w := range want {
@@ -36,8 +36,8 @@ func TestCSRAppendGraph(t *testing.T) {
 	// Reset must fully empty it while keeping it usable.
 	c.Reset()
 	c.AppendGraph(adj2, 0)
-	if c.Nodes() != 2 || c.Neighbors(0)[0] != 1 {
-		t.Fatalf("after Reset: nodes=%d neighbors(0)=%v", c.Nodes(), c.Neighbors(0))
+	if len(c.Off)-1 != 2 || c.Neighbors(0)[0] != 1 {
+		t.Fatalf("after Reset: nodes=%d neighbors(0)=%v", len(c.Off)-1, c.Neighbors(0))
 	}
 }
 

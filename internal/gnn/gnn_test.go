@@ -270,8 +270,8 @@ func TestEncoderDepthAndDims(t *testing.T) {
 	if len(enc.Layers) != 3 {
 		t.Fatalf("layers = %d", len(enc.Layers))
 	}
-	if enc.OutDim() != 11 {
-		t.Fatalf("OutDim = %d", enc.OutDim())
+	if out := enc.Layers[len(enc.Layers)-1].Out; out != 11 {
+		t.Fatalf("output width = %d", out)
 	}
 	if len(enc.Params()) != 6 {
 		t.Fatalf("params = %d, want 6 (2 per layer)", len(enc.Params()))

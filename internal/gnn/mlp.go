@@ -27,12 +27,8 @@ func (l *Linear) Params() []*tensor.Param { return []*tensor.Param{l.W, l.B} }
 
 type linearCache struct{ x *tensor.Matrix }
 
-// Forward computes X·W + b.
-func (l *Linear) Forward(x *tensor.Matrix) (*tensor.Matrix, *linearCache) {
-	return l.ForwardScratch(x, nil)
-}
-
-// ForwardScratch is Forward with the output drawn from sc (nil allocates).
+// ForwardScratch computes X·W + b with the output drawn from sc (nil
+// allocates), returning a cache for BackwardSink.
 func (l *Linear) ForwardScratch(x *tensor.Matrix, sc *tensor.Scratch) (*tensor.Matrix, *linearCache) {
 	y := tensor.MatMulInto(sc.Get(x.Rows, l.W.Value.Cols), x, l.W.Value)
 	b := l.B.Value.Row(0)
@@ -56,13 +52,8 @@ func (l *Linear) ForwardInfer(x *tensor.Matrix, sc *tensor.Scratch) *tensor.Matr
 	return y
 }
 
-// Backward accumulates dW, dB into Param.Grad and returns dX.
-func (l *Linear) Backward(c *linearCache, dY *tensor.Matrix) *tensor.Matrix {
-	return l.BackwardSink(c, dY, nil, nil)
-}
-
-// BackwardSink is Backward with gradients routed to gb (nil → Param.Grad)
-// and dX drawn from sc (nil allocates).
+// BackwardSink accumulates dW, dB into gb (nil → Param.Grad) and returns dX
+// drawn from sc (nil allocates).
 func (l *Linear) BackwardSink(c *linearCache, dY *tensor.Matrix, gb *tensor.GradBuf, sc *tensor.Scratch) *tensor.Matrix {
 	tensor.MatMulATBAdd(gb.Grad(l.W), c.x, dY)
 	db := gb.Grad(l.B).Row(0)
@@ -113,7 +104,8 @@ func (h *Head) Forward(x *tensor.Matrix, training bool, rng *rand.Rand) (*tensor
 }
 
 // ForwardScratch is Forward with matrix intermediates drawn from sc (nil
-// allocates); the returned cache references scratch matrices.
+// allocates); the returned cache, for BackwardSink, references scratch
+// matrices.
 func (h *Head) ForwardScratch(x *tensor.Matrix, training bool, rng *rand.Rand, sc *tensor.Scratch) (*tensor.Matrix, *headCache) {
 	c := &headCache{}
 	var y *tensor.Matrix
@@ -151,13 +143,8 @@ func (h *Head) ForwardInfer(x *tensor.Matrix, sc *tensor.Scratch) *tensor.Matrix
 	return h.FC3.ForwardInfer(y, sc)
 }
 
-// Backward accumulates gradients into Param.Grad and returns dX.
-func (h *Head) Backward(c *headCache, dY *tensor.Matrix) *tensor.Matrix {
-	return h.BackwardSink(c, dY, nil, nil)
-}
-
-// BackwardSink is Backward with gradients routed to gb (nil → Param.Grad)
-// and intermediates drawn from sc (nil allocates).
+// BackwardSink accumulates gradients into gb (nil → Param.Grad) and returns
+// dX, with intermediates drawn from sc (nil allocates).
 func (h *Head) BackwardSink(c *headCache, dY *tensor.Matrix, gb *tensor.GradBuf, sc *tensor.Scratch) *tensor.Matrix {
 	d := h.FC3.BackwardSink(c.c3, dY, gb, sc)
 	applyMask(d, c.relu2Mask)

@@ -87,15 +87,10 @@ func meanAggregateInto(m *tensor.Matrix, x *tensor.Matrix, adj [][]int) *tensor.
 	return m
 }
 
-// Forward runs the layer on node features x with adjacency adj, returning
-// the output embedding and a cache for Backward.
-func (l *SAGEConv) Forward(x *tensor.Matrix, adj [][]int) (*tensor.Matrix, *sageCache) {
-	return l.ForwardScratch(x, adj, nil)
-}
-
-// ForwardScratch is Forward with all matrix intermediates drawn from sc
-// (nil allocates). The cache references scratch matrices, so sc must not be
-// Reset until the matching backward pass has run.
+// ForwardScratch runs the layer on node features x with adjacency adj,
+// returning the output embedding and a cache for BackwardSink. All matrix
+// intermediates are drawn from sc (nil allocates); the cache references
+// them, so sc must not be Reset until the matching backward pass has run.
 func (l *SAGEConv) ForwardScratch(x *tensor.Matrix, adj [][]int, sc *tensor.Scratch) (*tensor.Matrix, *sageCache) {
 	mx := meanAggregate(x, adj, sc)
 	y := tensor.MatMulInto(sc.Get(x.Rows, l.Out), x, l.W1.Value)
@@ -133,40 +128,11 @@ func (l *SAGEConv) ForwardScratch(x *tensor.Matrix, adj [][]int, sc *tensor.Scra
 	return h, c
 }
 
-// ForwardInfer is the inference-only forward: no backward cache is built,
-// every intermediate comes from sc, and the matmuls run through the pooled
-// row-parallel kernel (serial below the fan-out threshold, persistent
-// workers above it) — with a warmed Scratch the call is allocation-free
-// either way. Outputs are bit-identical to ForwardScratch (same blocked
-// kernel, same per-element accumulation order regardless of worker count).
-//
-// It is also the batched forward: a micro-batch of B graphs packed into one
-// (Σ nodes)×In matrix with a block-diagonal adjacency (each graph's
-// neighbour indices offset by its node-range start) goes through in a single
-// call, and every row comes out bit-identical to the per-graph forward —
-// rows of a matmul, the mean aggregation and the L2 normalization are all
-// row-independent. Intermediates draw from the capacity pool (GetAtLeast),
-// so varying batch compositions stay allocation-free once the arena has
-// seen the widest one.
-func (l *SAGEConv) ForwardInfer(x *tensor.Matrix, adj [][]int, sc *tensor.Scratch) *tensor.Matrix {
-	csr := csrPool.Get().(*CSR)
-	csr.Reset()
-	csr.AppendGraph(adj, 0)
-	h := l.ForwardInferCSR(x, csr, nil, sc)
-	csrPool.Put(csr)
-	return h
-}
-
-// Backward accumulates parameter gradients from dH (gradient w.r.t. the
-// layer output) into Param.Grad and returns dX (gradient w.r.t. the layer
-// input).
-func (l *SAGEConv) Backward(c *sageCache, dH *tensor.Matrix) *tensor.Matrix {
-	return l.BackwardSink(c, dH, nil, nil)
-}
-
-// BackwardSink is Backward with gradients routed to gb (nil → Param.Grad)
-// and intermediates drawn from sc (nil allocates). It does not touch any
-// shared state, so concurrent samples may run it against distinct sinks.
+// BackwardSink accumulates parameter gradients from dH (gradient w.r.t. the
+// layer output) into gb (nil → Param.Grad) and returns dX (gradient w.r.t.
+// the layer input), with intermediates drawn from sc (nil allocates). It does
+// not touch any shared state, so concurrent samples may run it against
+// distinct sinks.
 func (l *SAGEConv) BackwardSink(c *sageCache, dH *tensor.Matrix, gb *tensor.GradBuf, sc *tensor.Scratch) *tensor.Matrix {
 	// Through L2 normalization: for h = y/r,
 	// dY = dH/r - h·(h·dH)/r; skipped rows pass dH through unchanged.
@@ -242,21 +208,13 @@ func (e *Encoder) Params() []*tensor.Param {
 	return ps
 }
 
-// OutDim is the embedding width produced by the backbone.
-func (e *Encoder) OutDim() int { return e.Layers[len(e.Layers)-1].Out }
-
 // EncCache chains per-layer caches.
 type EncCache struct {
 	caches []*sageCache
 }
 
-// Forward runs the full backbone.
-func (e *Encoder) Forward(x *tensor.Matrix, adj [][]int) (*tensor.Matrix, *EncCache) {
-	return e.ForwardScratch(x, adj, nil)
-}
-
-// ForwardScratch is Forward with intermediates drawn from sc (nil
-// allocates); the returned cache references scratch matrices.
+// ForwardScratch runs the full backbone with intermediates drawn from sc
+// (nil allocates); the returned cache references scratch matrices.
 func (e *Encoder) ForwardScratch(x *tensor.Matrix, adj [][]int, sc *tensor.Scratch) (*tensor.Matrix, *EncCache) {
 	c := &EncCache{caches: make([]*sageCache, 0, len(e.Layers))}
 	h := x
@@ -268,29 +226,9 @@ func (e *Encoder) ForwardScratch(x *tensor.Matrix, adj [][]int, sc *tensor.Scrat
 	return h, c
 }
 
-// ForwardInfer runs the full backbone in inference mode: no caches, no
-// goroutine fan-out, all intermediates from sc (allocation-free once sc is
-// warm). Bit-identical to ForwardScratch. Packed micro-batches (see
-// SAGEConv.ForwardInfer) pass through unchanged: the backbone never mixes
-// rows except along adjacency edges, so a block-diagonal batch keeps every
-// graph's rows bit-identical to its solo forward.
-func (e *Encoder) ForwardInfer(x *tensor.Matrix, adj [][]int, sc *tensor.Scratch) *tensor.Matrix {
-	csr := csrPool.Get().(*CSR)
-	csr.Reset()
-	csr.AppendGraph(adj, 0)
-	h := e.ForwardInferCSR(x, csr, nil, sc)
-	csrPool.Put(csr)
-	return h
-}
-
-// Backward propagates dH through all layers, accumulating gradients into
-// Param.Grad, and returns the gradient w.r.t. the input features.
-func (e *Encoder) Backward(c *EncCache, dH *tensor.Matrix) *tensor.Matrix {
-	return e.BackwardSink(c, dH, nil, nil)
-}
-
-// BackwardSink is Backward with gradients routed to gb (nil → Param.Grad)
-// and intermediates drawn from sc (nil allocates).
+// BackwardSink propagates dH through all layers, accumulating gradients
+// into gb (nil → Param.Grad), and returns the gradient w.r.t. the input
+// features. Intermediates are drawn from sc (nil allocates).
 func (e *Encoder) BackwardSink(c *EncCache, dH *tensor.Matrix, gb *tensor.GradBuf, sc *tensor.Scratch) *tensor.Matrix {
 	for i := len(e.Layers) - 1; i >= 0; i-- {
 		dH = e.Layers[i].BackwardSink(c.caches[i], dH, gb, sc)
@@ -298,13 +236,8 @@ func (e *Encoder) BackwardSink(c *EncCache, dH *tensor.Matrix, gb *tensor.GradBu
 	return dH
 }
 
-// SumPool reduces node embeddings to a single graph vector (the Σ of
-// Eq. 5), returning a 1×d matrix.
-func SumPool(h *tensor.Matrix) *tensor.Matrix {
-	return SumPoolScratch(h, nil)
-}
-
-// SumPoolScratch is SumPool into a scratch-owned matrix.
+// SumPoolScratch reduces node embeddings to a single graph vector (the Σ of
+// Eq. 5), returning a 1×d matrix drawn from sc (nil allocates).
 func SumPoolScratch(h *tensor.Matrix, sc *tensor.Scratch) *tensor.Matrix {
 	out := sc.Get(1, h.Cols)
 	dst := out.Row(0)
@@ -317,8 +250,8 @@ func SumPoolScratch(h *tensor.Matrix, sc *tensor.Scratch) *tensor.Matrix {
 // SumPoolSegmentsScratch reduces a packed batch of node embeddings to one
 // graph vector per segment: segs holds B+1 ascending row offsets and output
 // row g sums h rows [segs[g], segs[g+1]). Each row's accumulation visits
-// node rows in ascending order, exactly like SumPool over that graph alone,
-// so the pooled vectors are bit-identical to B independent SumPool calls.
+// node rows in ascending order, exactly like SumPoolScratch over that graph
+// alone, so the pooled vectors are bit-identical to B independent calls.
 // The output draws from the capacity pool so varying batch widths reuse one
 // buffer.
 func SumPoolSegmentsScratch(h *tensor.Matrix, segs []int, sc *tensor.Scratch) *tensor.Matrix {
@@ -332,12 +265,8 @@ func SumPoolSegmentsScratch(h *tensor.Matrix, segs []int, sc *tensor.Scratch) *t
 	return out
 }
 
-// SumPoolBackward broadcasts the pooled gradient back to every node row.
-func SumPoolBackward(dPool *tensor.Matrix, numNodes int) *tensor.Matrix {
-	return SumPoolBackwardScratch(dPool, numNodes, nil)
-}
-
-// SumPoolBackwardScratch is SumPoolBackward into a scratch-owned matrix.
+// SumPoolBackwardScratch broadcasts the pooled gradient back to every node
+// row, into a matrix drawn from sc (nil allocates).
 func SumPoolBackwardScratch(dPool *tensor.Matrix, numNodes int, sc *tensor.Scratch) *tensor.Matrix {
 	out := sc.Get(numNodes, dPool.Cols)
 	src := dPool.Row(0)

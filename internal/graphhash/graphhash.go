@@ -25,7 +25,6 @@
 package graphhash
 
 import (
-	"encoding/binary"
 	"fmt"
 	"slices"
 	"strconv"
@@ -40,22 +39,6 @@ type Key uint64
 // String renders the key as fixed-width hex, the form shown to users and
 // stored in logs.
 func (k Key) String() string { return fmt.Sprintf("%016x", uint64(k)) }
-
-// Bytes returns the big-endian 8-byte representation used as database key
-// material.
-func (k Key) Bytes() []byte {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], uint64(k))
-	return b[:]
-}
-
-// KeyFromBytes parses an 8-byte big-endian key.
-func KeyFromBytes(b []byte) (Key, error) {
-	if len(b) != 8 {
-		return 0, fmt.Errorf("graphhash: key must be 8 bytes, got %d", len(b))
-	}
-	return Key(binary.BigEndian.Uint64(b)), nil
-}
 
 // f_hash is FNV-1a, folded inline so node and graph codes stream through a
 // running 64-bit state instead of a hash.Hash64 and per-part byte slices.

@@ -131,15 +131,8 @@ func TestHashDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestKeyBytesRoundTrip(t *testing.T) {
+func TestKeyString(t *testing.T) {
 	k := Key(0x0123456789abcdef)
-	back, err := KeyFromBytes(k.Bytes())
-	if err != nil || back != k {
-		t.Fatalf("round trip: %v %v", back, err)
-	}
-	if _, err := KeyFromBytes([]byte{1, 2, 3}); err == nil {
-		t.Fatal("want length error")
-	}
 	if k.String() != "0123456789abcdef" {
 		t.Fatalf("String = %s", k.String())
 	}

@@ -1,6 +1,7 @@
 package graphhash
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -142,6 +143,14 @@ func refCanonical(as onnx.Attrs) string {
 	return sb.String()
 }
 
+// refKeyBytes is the big-endian 8-byte form a node or source key takes as
+// hash input.
+func refKeyBytes(k Key) []byte {
+	var b [8]byte
+	binary.BigEndian.PutUint64(b[:], uint64(k))
+	return b[:]
+}
+
 func refFhash(parts ...[]byte) Key {
 	h := fnv.New64a()
 	for _, p := range parts {
@@ -172,7 +181,7 @@ func Hash(g *onnx.Graph) (Key, map[string]Key, error) {
 		sort.Slice(sucKeys, func(i, j int) bool { return sucKeys[i] < sucKeys[j] })
 		parts := [][]byte{[]byte(string(n.Op) + "{" + refCanonical(n.Attrs) + "}")}
 		for _, k := range sucKeys {
-			parts = append(parts, k.Bytes())
+			parts = append(parts, refKeyBytes(k))
 		}
 		nodeHash[n.Name] = refFhash(parts...)
 	}
@@ -186,7 +195,7 @@ func Hash(g *onnx.Graph) (Key, map[string]Key, error) {
 	sort.Slice(srcKeys, func(i, j int) bool { return srcKeys[i] < srcKeys[j] })
 	var parts [][]byte
 	for _, k := range srcKeys {
-		parts = append(parts, k.Bytes())
+		parts = append(parts, refKeyBytes(k))
 	}
 	for _, vi := range g.Inputs {
 		parts = append(parts, []byte("in:"+vi.Shape.String()))

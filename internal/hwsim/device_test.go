@@ -191,17 +191,6 @@ func TestRPCFarmEndToEnd(t *testing.T) {
 	}
 	defer client.Close()
 
-	plats, err := client.ListPlatforms()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plats) != len(Platforms()) {
-		t.Fatalf("remote fleet = %d platforms, want %d", len(plats), len(Platforms()))
-	}
-	if n := client.Devices(DatasetPlatform); n != 2 {
-		t.Fatalf("remote devices = %d, want 2", n)
-	}
-
 	g := models.BuildSqueezeNet(models.BaseSqueezeNet(1))
 	res, err := client.Measure(context.Background(), DatasetPlatform, g, "rpc-test")
 	if err != nil {

@@ -111,12 +111,6 @@ type KernelCost struct {
 	TrafficBytes int64
 }
 
-// FusedSec is the kernel's latency when executed as part of a model (before
-// inter-kernel cache overlap, which the engine applies per edge).
-func (c KernelCost) FusedSec() float64 {
-	return math.Max(c.ComputeSec, c.MemorySec) + c.LaunchSec
-}
-
 // kernelCost prices one fused kernel. Shapes and per-node costs must come
 // from the same graph the kernel was cut from.
 func (p *Platform) kernelCost(k *Kernel, shapes onnx.ShapeMap, costs map[string]onnx.NodeCost) (KernelCost, error) {

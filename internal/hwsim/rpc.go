@@ -222,13 +222,6 @@ func (fs *FarmServer) untrack(c net.Conn) {
 	c.Close()
 }
 
-// Conns reports the number of live RPC connections.
-func (fs *FarmServer) Conns() int {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return len(fs.conns)
-}
-
 // Addr returns the listener address.
 func (fs *FarmServer) Addr() string { return fs.lis.Addr().String() }
 
@@ -424,16 +417,6 @@ func (r *RemoteFarm) Measure(ctx context.Context, platform string, g *onnx.Graph
 	}, nil
 }
 
-// Devices reports the remote farm's device count for a platform (0 on RPC
-// failure, so callers fall back to their defaults).
-func (r *RemoteFarm) Devices(platform string) int {
-	var reply DevicesReply
-	if err := r.call("Farm.Devices", &DevicesArgs{Platform: platform}, &reply); err != nil {
-		return 0
-	}
-	return reply.Devices
-}
-
 // DeviceWaitSeconds reports the remote farm's cumulative device-wait time
 // (0 on RPC failure).
 func (r *RemoteFarm) DeviceWaitSeconds() float64 {
@@ -452,15 +435,6 @@ func (r *RemoteFarm) QuarantineStats() (int64, int) {
 		return 0, 0
 	}
 	return reply.Quarantines, reply.QuarantinedNow
-}
-
-// ListPlatforms reports the remotely available platforms.
-func (r *RemoteFarm) ListPlatforms() ([]string, error) {
-	var reply ListPlatformsReply
-	if err := r.call("Farm.ListPlatforms", &struct{}{}, &reply); err != nil {
-		return nil, err
-	}
-	return reply.Platforms, nil
 }
 
 // Close tears down the connection.

@@ -47,23 +47,44 @@ func TestRPCMeasureRoundTrip(t *testing.T) {
 	}
 }
 
+// Conns reports the number of live RPC connections.
+func (fs *FarmServer) Conns() int {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return len(fs.conns)
+}
+
+// TestRPCInventoryRoundTrip calls the inventory RPCs on the wire, as a
+// client of the farm protocol does.
 func TestRPCInventoryRoundTrip(t *testing.T) {
 	farm := NewDefaultFarm(2)
-	_, rf := startFarm(t, farm)
-
-	plats, err := rf.ListPlatforms()
+	srv, rf := startFarm(t, farm)
+	c, err := rpc.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plats) != len(Platforms()) {
-		t.Fatalf("ListPlatforms = %d entries, want %d", len(plats), len(Platforms()))
+	defer c.Close()
+	devices := func(platform string) int {
+		var reply DevicesReply
+		if err := c.Call("Farm.Devices", &DevicesArgs{Platform: platform}, &reply); err != nil {
+			t.Fatal(err)
+		}
+		return reply.Devices
 	}
-	for _, p := range plats {
-		if got := rf.Devices(p); got != 2 {
+
+	var inv ListPlatformsReply
+	if err := c.Call("Farm.ListPlatforms", &struct{}{}, &inv); err != nil {
+		t.Fatal(err)
+	}
+	if len(inv.Platforms) != len(Platforms()) {
+		t.Fatalf("ListPlatforms = %d entries, want %d", len(inv.Platforms), len(Platforms()))
+	}
+	for _, p := range inv.Platforms {
+		if got := devices(p); got != 2 {
 			t.Fatalf("Devices(%s) = %d, want 2", p, got)
 		}
 	}
-	if rf.Devices("no-such-platform") != 0 {
+	if devices("no-such-platform") != 0 {
 		t.Fatal("unknown platform must report 0 devices")
 	}
 	if w := rf.DeviceWaitSeconds(); w != farm.WaitSeconds() {

@@ -133,26 +133,6 @@ func (c *Cache[K, V]) PutIf(k K, v V, replace func(old V) bool) {
 	}
 }
 
-// Delete removes k, reporting whether it was present.
-func (c *Cache[K, V]) Delete(k K) bool {
-	s := c.shard(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries[k]
-	if ok {
-		s.remove(e)
-	}
-	return ok
-}
-
-// Clear removes every entry. Counters are kept.
-func (c *Cache[K, V]) Clear() {
-	c.each(func(s *shard[K, V]) {
-		s.entries = make(map[K]*entry[K, V])
-		s.head, s.tail = nil, nil
-	})
-}
-
 // Stats sums counters and sizes across shards.
 func (c *Cache[K, V]) Stats() (st Stats) {
 	c.each(func(s *shard[K, V]) {

@@ -14,8 +14,7 @@ type refLRU struct {
 	cap   int
 	lists [Shards][]int
 	vals  map[int]int
-	// removed counts Delete, Clear and GetIf-drop removals; evictions only
-	// capacity evictions.
+	// removed counts GetIf-drop removals; evictions only capacity evictions.
 	hits, misses, inserts, removed, evictions int
 }
 
@@ -78,7 +77,7 @@ func (r *refLRU) putIf(k, v int, replace func(int) bool) int {
 // divergence: a different hit/miss answer or value, a different eviction
 // victim, a presence mismatch on any key of those shards, or a shard over
 // capacity.
-func drive(c *Cache[int, int], capPerShard int, seed int64, n int, shards []int, clear bool) (*refLRU, error) {
+func drive(c *Cache[int, int], capPerShard int, seed int64, n int, shards []int) (*refLRU, error) {
 	ref := &refLRU{cap: capPerShard, vals: map[int]int{}}
 	var keys []int
 	for k := 0; k < 8*Shards; k++ {
@@ -91,7 +90,7 @@ func drive(c *Cache[int, int], capPerShard int, seed int64, n int, shards []int,
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < n; i++ {
 		k, v := keys[rng.Intn(len(keys))], rng.Intn(1000)
-		switch op := rng.Intn(20); {
+		switch op := rng.Intn(17); {
 		case op < 6:
 			gv, gok := c.Get(k)
 			if wv, wok := ref.getIf(k, nil, false); gv != wv || gok != wok {
@@ -108,7 +107,7 @@ func drive(c *Cache[int, int], capPerShard int, seed int64, n int, shards []int,
 			if wv, wok := ref.vals[k]; gv != wv || gok != wok {
 				return nil, fmt.Errorf("op %d Peek(%d) = (%d, %v), reference (%d, %v)", i, k, gv, gok, wv, wok)
 			}
-		case op < 17:
+		default:
 			var rep func(int) bool
 			if op == 16 {
 				rep = replace
@@ -117,26 +116,6 @@ func drive(c *Cache[int, int], capPerShard int, seed int64, n int, shards []int,
 			if victim := ref.putIf(k, v, rep); victim >= 0 {
 				if _, ok := c.Peek(victim); ok {
 					return nil, fmt.Errorf("op %d Put(%d): reference evicted %d, cache kept it", i, k, victim)
-				}
-			}
-		case op < 19:
-			_, want := ref.vals[k]
-			if want {
-				ref.drop(k)
-				ref.removed++
-			}
-			if got := c.Delete(k); got != want {
-				return nil, fmt.Errorf("op %d Delete(%d) = %v, reference %v", i, k, got, want)
-			}
-		default:
-			if !clear {
-				continue
-			}
-			c.Clear()
-			for _, k := range keys {
-				if _, ok := ref.vals[k]; ok {
-					ref.drop(k)
-					ref.removed++
 				}
 			}
 		}
@@ -179,7 +158,7 @@ func checkCounters(t *testing.T, st Stats, refs ...*refLRU) {
 func identity(k int) uint64 { return uint64(k) }
 
 // TestCacheMatchesReference drives the sharded cache and the reference model
-// with the same seeded operation sequences over every shard, Clear included.
+// with the same seeded operation sequences over every shard.
 func TestCacheMatchesReference(t *testing.T) {
 	all := make([]int, Shards)
 	for i := range all {
@@ -188,7 +167,7 @@ func TestCacheMatchesReference(t *testing.T) {
 	for capPerShard := 1; capPerShard <= 3; capPerShard++ {
 		for seed := int64(1); seed <= 4; seed++ {
 			c := New[int, int](capPerShard*Shards, identity)
-			ref, err := drive(c, capPerShard, seed, 3000, all, true)
+			ref, err := drive(c, capPerShard, seed, 3000, all)
 			if err != nil {
 				t.Fatalf("cap %d seed %d: %v", capPerShard, seed, err)
 			}
@@ -218,7 +197,7 @@ func TestCacheConcurrentMatchesReference(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			refs[w], errs[w] = drive(c, capPerShard, int64(100+w), 2000, own, false)
+			refs[w], errs[w] = drive(c, capPerShard, int64(100+w), 2000, own)
 		}(w)
 	}
 	wg.Wait()
@@ -230,18 +209,12 @@ func TestCacheConcurrentMatchesReference(t *testing.T) {
 	checkCounters(t, c.Stats(), refs...)
 }
 
-func TestCountAndClearKeepCounters(t *testing.T) {
+func TestCount(t *testing.T) {
 	c := New[int, int](64, identity)
 	for k := 0; k < 10; k++ {
 		c.Put(k, k)
 	}
 	if n := c.Count(func(v int) bool { return v%2 == 0 }); n != 5 {
 		t.Fatalf("Count(even) = %d, want 5", n)
-	}
-	c.Get(1)
-	c.Get(99)
-	c.Clear()
-	if st := c.Stats(); st.Size != 0 || st.Hits != 1 || st.Misses != 1 {
-		t.Fatalf("after Clear: %+v, want size 0 with counters kept", st)
 	}
 }

@@ -95,29 +95,3 @@ func Variant(family string, rng *rand.Rand, batch int) (*onnx.Graph, error) {
 		return nil, fmt.Errorf("models: unknown family %q", family)
 	}
 }
-
-// Sample describes one dataset entry: a model graph awaiting latency
-// measurement on some platform.
-type Sample struct {
-	Graph  *onnx.Graph
-	Family string
-}
-
-// BuildDataset generates perFamily variants of each listed family with a
-// deterministic seed, mirroring the paper's 20,000-model dataset
-// construction (perFamily=2000 over the ten families).
-func BuildDataset(families []string, perFamily int, seed int64, batch int) ([]Sample, error) {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]Sample, 0, len(families)*perFamily)
-	for _, fam := range families {
-		for i := 0; i < perFamily; i++ {
-			g, err := Variant(fam, rng, batch)
-			if err != nil {
-				return nil, err
-			}
-			g.Name = fmt.Sprintf("%s-%04d", fam, i)
-			out = append(out, Sample{Graph: g, Family: fam})
-		}
-	}
-	return out, nil
-}

@@ -108,28 +108,6 @@ func TestVariantUnknownFamily(t *testing.T) {
 	}
 }
 
-func TestBuildDataset(t *testing.T) {
-	ds, err := BuildDataset([]string{FamilyResNet, FamilySqueezeNet}, 5, 99, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ds) != 10 {
-		t.Fatalf("len = %d, want 10", len(ds))
-	}
-	for _, s := range ds {
-		if s.Graph.Family != s.Family {
-			t.Fatal("family mismatch")
-		}
-	}
-	// Deterministic under seed.
-	ds2, _ := BuildDataset([]string{FamilyResNet, FamilySqueezeNet}, 5, 99, 1)
-	for i := range ds {
-		if graphhash.MustGraphKey(ds[i].Graph) != graphhash.MustGraphKey(ds2[i].Graph) {
-			t.Fatalf("dataset entry %d differs across identical seeds", i)
-		}
-	}
-}
-
 func TestNasBench201ArchSampling(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	seen := make(map[NasBench201Arch]bool)

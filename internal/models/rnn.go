@@ -55,7 +55,7 @@ func BuildUnrolledRNN(cfg RNNConfig) *onnx.Graph {
 		}
 	}
 	out := b.Gemm(h, cfg.Classes)
-	return b.MustFinish(b.Softmax(out))
+	return b.MustFinish(b.Add(onnx.OpSoftmax, onnx.Attrs{"axis": onnx.IntAttr(-1)}, out))
 }
 
 // RNNVariant draws a random unrolled recurrence (hidden width, depth,

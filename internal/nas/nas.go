@@ -223,6 +223,3 @@ func (lt *LookupTable) Estimate(g *onnx.Graph) (float64, error) {
 	}
 	return total, nil
 }
-
-// Entries reports the number of distinct configuration keys stored.
-func (lt *LookupTable) Entries() int { return len(lt.byKey) }

@@ -108,7 +108,7 @@ func TestLookupTableCalibrateEstimate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if lt.Entries() == 0 {
+	if len(lt.byKey) == 0 {
 		t.Fatal("no entries after calibration")
 	}
 	// Estimate correlates with true latency across fresh samples.

@@ -35,12 +35,9 @@ func (b *Builder) AddInput(name string, shape Shape) string {
 	return name
 }
 
-// Err returns the first construction error, if any.
-func (b *Builder) Err() error { return b.err }
-
 // fail records the first error and keeps the builder usable (later calls
 // become no-ops returning a placeholder), so model constructors can chain
-// freely and check Err once at Finish.
+// freely and check the error once at Finish.
 func (b *Builder) fail(format string, args ...any) string {
 	if b.err == nil {
 		b.err = fmt.Errorf("onnx builder %q: "+format, append([]any{b.g.Name}, args...)...)
@@ -137,11 +134,6 @@ func (b *Builder) Flatten(in string) string { return b.Add(OpFlatten, nil, in) }
 // Concat appends a channel concatenation.
 func (b *Builder) Concat(ins ...string) string {
 	return b.Add(OpConcat, Attrs{"axis": IntAttr(1)}, ins...)
-}
-
-// Softmax appends a Softmax over the last axis.
-func (b *Builder) Softmax(in string) string {
-	return b.Add(OpSoftmax, Attrs{"axis": IntAttr(-1)}, in)
 }
 
 // LRN appends local response normalization (AlexNet).

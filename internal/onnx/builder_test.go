@@ -92,7 +92,7 @@ func TestMustFinishPanicsOnInvalid(t *testing.T) {
 func TestBuilderErrShortCircuits(t *testing.T) {
 	b := NewBuilder("short", "Test", Shape{1, 3, 4, 4})
 	b.Add(OpRelu, nil) // error: no inputs
-	if b.Err() == nil {
+	if b.err == nil {
 		t.Fatal("expected recorded error")
 	}
 	// Later calls are no-ops returning the placeholder.

@@ -32,8 +32,8 @@ func newBenchSystem(b *testing.B, g *onnx.Graph) (*System, CacheKey) {
 
 // BenchmarkQueryHit compares the two cache tiers on the hit path: "l1"
 // serves repeats from the in-process cache, "db" forces every iteration back
-// to the durable store by invalidating the L1 entry first (the pre-L1
-// serving path, plus one cheap map delete). The BENCH_query.json baseline
+// to the durable store by dropping the L1 entry first (the pre-L1 serving
+// path, plus one cheap shard probe and map delete). The BENCH_query.json baseline
 // records the l1-vs-db ratio.
 func BenchmarkQueryHit(b *testing.B) {
 	b.Run("l1", func(b *testing.B) {
@@ -58,7 +58,7 @@ func BenchmarkQueryHit(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			s.Cache().Invalidate(ck)
+			s.cache.drop(ck)
 			r, err := s.Query(context.Background(), g, hwsim.DatasetPlatform)
 			if err != nil {
 				b.Fatal(err)

@@ -86,9 +86,6 @@ func cacheHash(k CacheKey) uint64 {
 	return uint64(k.Hash) ^ uint64(k.Batch)*0x9e3779b97f4a7c15
 }
 
-// SetClock overrides the TTL clock (tests only; not safe once serving).
-func (c *Cache) SetClock(now func() time.Time) { c.now = now }
-
 // Get probes the L1. The three outcomes are (val, hit=true, negative=false)
 // for a positive entry, (zero, false, true) for an un-expired negative entry
 // — the caller should skip the L2 probe and go measure — and (zero, false,
@@ -128,14 +125,6 @@ func (c *Cache) PutNegative(k CacheKey) {
 	c.lru.PutIf(k, l1Entry{negative: true, expires: c.now().Add(c.negTTL)},
 		func(old l1Entry) bool { return old.negative })
 }
-
-// Invalidate drops the entry for k (positive or negative), reporting whether
-// one existed. This is the hook for anything that distrusts a cached row —
-// the chaos harness uses it after injected store faults.
-func (c *Cache) Invalidate(k CacheKey) bool { return c.lru.Delete(k) }
-
-// Flush empties the cache (counters are kept).
-func (c *Cache) Flush() { c.lru.Clear() }
 
 // Stats sums counters and sizes across shards.
 func (c *Cache) Stats() CacheStats {

@@ -11,10 +11,28 @@ import (
 	"nnlqp/internal/hwsim"
 	"nnlqp/internal/lru"
 	"nnlqp/internal/models"
+	"nnlqp/internal/onnx"
 )
 
 func ck(i int) CacheKey {
 	return CacheKey{Hash: graphhash.Key(i), Platform: "p", Batch: 1}
+}
+
+// SetClock overrides the TTL clock (not safe once serving).
+func (c *Cache) SetClock(now func() time.Time) { c.now = now }
+
+// drop removes k's entry through the LRU's drop-on-stale probe, so the next
+// query for it reads the durable tier. The probe counts as an L1 miss.
+func (c *Cache) drop(k CacheKey) { c.lru.GetIf(k, func(l1Entry) bool { return false }, true) }
+
+// l1Key is the L1 key of g on platform at g's batch size.
+func l1Key(t *testing.T, g *onnx.Graph, platform string) CacheKey {
+	t.Helper()
+	key, err := graphhash.GraphKey(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return CacheKey{Hash: key, Platform: platform, Batch: g.BatchSize()}
 }
 
 // shardOf is the L1 shard a key lands on.
@@ -122,28 +140,6 @@ func TestCachePutNeverDowngradedByNegative(t *testing.T) {
 	}
 }
 
-func TestCacheInvalidateAndFlush(t *testing.T) {
-	c := NewCache(0, time.Minute)
-	c.Put(ck(1), CacheValue{LatencyMS: 1})
-	c.Put(ck(2), CacheValue{LatencyMS: 2})
-	if !c.Invalidate(ck(1)) {
-		t.Fatal("Invalidate must report the entry existed")
-	}
-	if c.Invalidate(ck(1)) {
-		t.Fatal("second Invalidate must report no entry")
-	}
-	if _, hit, _ := c.Get(ck(1)); hit {
-		t.Fatal("invalidated entry must miss")
-	}
-	c.Flush()
-	if st := c.Stats(); st.Size != 0 {
-		t.Fatalf("size after flush = %d", st.Size)
-	}
-	if _, hit, _ := c.Get(ck(2)); hit {
-		t.Fatal("flushed entry must miss")
-	}
-}
-
 // TestCacheConcurrentWriters hammers one small cache from many goroutines
 // mixing every mutation; run under -race (make race) this pins down the
 // shard locking. Invariants: no panic, and size never exceeds capacity.
@@ -165,13 +161,9 @@ func TestCacheConcurrentWriters(t *testing.T) {
 				case 2:
 					c.Get(k)
 				case 3:
-					c.Invalidate(k)
+					c.drop(k)
 				case 4:
-					if i%500 == 0 {
-						c.Flush()
-					} else {
-						c.Stats()
-					}
+					c.Stats()
 				}
 			}
 		}(w)
@@ -214,17 +206,15 @@ func TestQuerySecondHitServedFromL1(t *testing.T) {
 		t.Fatalf("l1 SimSeconds = %v, want %v", r2.SimSeconds, want)
 	}
 
-	// After invalidation the same query falls back to the L2 tier and gets
-	// re-promoted.
-	if ok, err := s.InvalidateCached(g, hwsim.DatasetPlatform); err != nil || !ok {
-		t.Fatalf("InvalidateCached = (%v, %v)", ok, err)
-	}
+	// With the L1 entry dropped the same query falls back to the L2 tier and
+	// gets re-promoted.
+	s.cache.drop(l1Key(t, g, hwsim.DatasetPlatform))
 	r3, err := s.Query(ctx, g, hwsim.DatasetPlatform)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !r3.Hit || r3.Tier != "l2" {
-		t.Fatalf("post-invalidation query = %+v, want an l2 hit", r3)
+		t.Fatalf("post-drop query = %+v, want an l2 hit", r3)
 	}
 	r4, err := s.Query(ctx, g, hwsim.DatasetPlatform)
 	if err != nil {
@@ -282,10 +272,11 @@ func TestQueryNegativeEntrySkipsL2Probe(t *testing.T) {
 }
 
 // TestQueryConcurrentL1 mixes concurrent queries over a shared system with
-// invalidations; run under -race this exercises the Query/L1 interleavings.
+// L1 drops; run under -race this exercises the Query/L1 interleavings.
 func TestQueryConcurrentL1(t *testing.T) {
 	s := newSystemWith(t, &fakeFarm{devices: 4})
 	g := models.BuildSqueezeNet(models.BaseSqueezeNet(1))
+	key := l1Key(t, g, hwsim.DatasetPlatform)
 	const workers = 8
 	var wg sync.WaitGroup
 	errCh := make(chan error, workers)
@@ -295,10 +286,7 @@ func TestQueryConcurrentL1(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				if w == 0 && i%10 == 5 {
-					if _, err := s.InvalidateCached(g, hwsim.DatasetPlatform); err != nil {
-						errCh <- err
-						return
-					}
+					s.cache.drop(key)
 					continue
 				}
 				r, err := s.Query(context.Background(), g, hwsim.DatasetPlatform)

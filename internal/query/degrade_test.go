@@ -69,7 +69,7 @@ func TestQueryDegradesToFallback(t *testing.T) {
 				t.Fatalf("stats = %+v, want 1 miss / 1 degraded", st)
 			}
 			// A guess must never enter the database as ground truth...
-			if _, _, lc := s.Store().Counts(); lc != 0 {
+			if _, _, lc := s.store.Counts(); lc != 0 {
 				t.Fatalf("latency records = %d, want 0 after a degraded answer", lc)
 			}
 			// ...nor the L1 tier: only durable measurements are written
@@ -200,7 +200,7 @@ func TestQueryCoalescedWaitersShareDegradedResult(t *testing.T) {
 	if st.Misses != 1 || st.Coalesced != n-1 || st.Degraded != n {
 		t.Fatalf("stats = %+v, want 1 miss, %d coalesced, %d degraded", st, n-1, n)
 	}
-	if _, _, lc := s.Store().Counts(); lc != 0 {
+	if _, _, lc := s.store.Counts(); lc != 0 {
 		t.Fatalf("latency records = %d, want 0", lc)
 	}
 	if cs := s.Cache().Stats(); cs.Size-cs.Negatives != 0 {

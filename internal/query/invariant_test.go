@@ -147,7 +147,7 @@ func TestNegativeSkipSkipsPlatformUpsert(t *testing.T) {
 	if err != nil || !r.Degraded {
 		t.Fatalf("r=%+v err=%v, want degraded answer", r, err)
 	}
-	if _, pc, _ := s.Store().Counts(); pc != 0 {
+	if _, pc, _ := s.store.Counts(); pc != 0 {
 		t.Fatalf("platform rows = %d after negative-skip degraded answer, want 0 (durable upsert must honor the skip)", pc)
 	}
 	if want := hashCostSec(g) + l1CostSec + degradedCostSec; r.SimSeconds != want {
@@ -166,7 +166,7 @@ func TestNegativeSkipSkipsPlatformUpsert(t *testing.T) {
 	if r2.Provenance != "measured" || r2.PlatformID == 0 || r2.ModelID == 0 {
 		t.Fatalf("r2 = %+v, want measured answer with database IDs", r2)
 	}
-	if _, pc, lc := s2.Store().Counts(); pc != 1 || lc != 1 {
+	if _, pc, lc := s2.store.Counts(); pc != 1 || lc != 1 {
 		t.Fatalf("store rows = %d platforms / %d latencies, want 1/1", pc, lc)
 	}
 	if want := hashCostSec(g) + l1CostSec + 100 + dbCostSec; r2.SimSeconds != want {
@@ -247,7 +247,7 @@ func TestStoreFailureDoesNotFailFollowers(t *testing.T) {
 	if cs := s.Cache().Stats(); cs.Size-cs.Negatives != 0 {
 		t.Fatalf("L1 positive entries = %d after store failure, want 0", cs.Size-cs.Negatives)
 	}
-	if _, _, lc := s.Store().Counts(); lc != 0 {
+	if _, _, lc := s.store.Counts(); lc != 0 {
 		t.Fatalf("latency rows = %d after store failure, want 0", lc)
 	}
 	s.storeFault = nil
@@ -261,7 +261,7 @@ func TestStoreFailureDoesNotFailFollowers(t *testing.T) {
 	if farm.Calls() != 2 {
 		t.Fatalf("farm calls = %d, want 2 (store failure must force a re-measure)", farm.Calls())
 	}
-	if _, _, lc := s.Store().Counts(); lc != 1 {
+	if _, _, lc := s.store.Counts(); lc != 1 {
 		t.Fatalf("latency rows = %d after recovery, want 1", lc)
 	}
 }

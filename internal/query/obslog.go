@@ -103,22 +103,12 @@ func (l *obsLog) snapshot(max int) []Observation {
 	return out
 }
 
-func (l *obsLog) size() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.order)
-}
-
 // Observations returns up to max recently observed query misses, most recent
 // first (max <= 0 returns everything retained). Entries are copies; the
 // graphs themselves are shared and must be treated as read-only.
 func (s *System) Observations(max int) []Observation {
 	return s.obs.snapshot(max)
 }
-
-// ObservationCount reports how many distinct (graph, platform) pairs the
-// observation log currently retains.
-func (s *System) ObservationCount() int { return s.obs.size() }
 
 // CachedPositive reports whether the L1 tier holds an un-expired positive
 // entry for g on the named platform at g's batch size — a cheap "already has

@@ -17,8 +17,8 @@ func TestObsLogDedupAndBound(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		l.record(g, "p", graphhash.Key(uint64(i)), true, false)
 	}
-	if l.size() != 3 {
-		t.Fatalf("size = %d, want 3", l.size())
+	if len(l.snapshot(0)) != 3 {
+		t.Fatalf("size = %d, want 3", len(l.snapshot(0)))
 	}
 	obs := l.snapshot(0)
 	if len(obs) != 3 || obs[0].Hash != graphhash.Key(4) || obs[2].Hash != graphhash.Key(2) {
@@ -38,8 +38,8 @@ func TestObsLogDedupAndBound(t *testing.T) {
 
 	// Same hash, different platform = a distinct entry.
 	l.record(g, "q", graphhash.Key(2), true, false)
-	if l.size() != 3 {
-		t.Fatalf("size after cross-platform record = %d", l.size())
+	if len(l.snapshot(0)) != 3 {
+		t.Fatalf("size after cross-platform record = %d", len(l.snapshot(0)))
 	}
 }
 
@@ -52,7 +52,7 @@ func TestSystemRecordsMissesNotHits(t *testing.T) {
 	if _, err := s.Query(context.Background(), g, hwsim.DatasetPlatform); err != nil {
 		t.Fatal(err)
 	}
-	if n := s.ObservationCount(); n != 1 {
+	if n := len(s.Observations(0)); n != 1 {
 		t.Fatalf("observations after miss = %d, want 1", n)
 	}
 	obs := s.Observations(0)

@@ -35,7 +35,7 @@ func TestQueryHitL2Allocs(t *testing.T) {
 	}
 	ck := CacheKey{Hash: key, Platform: hwsim.DatasetPlatform, Batch: g.BatchSize()}
 	avg := testing.AllocsPerRun(200, func() {
-		s.cache.Invalidate(ck)
+		s.cache.drop(ck)
 		r, err := s.Query(context.Background(), g, hwsim.DatasetPlatform)
 		if err != nil {
 			t.Fatal(err)

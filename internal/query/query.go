@@ -242,25 +242,6 @@ func (s *System) ConfigureCache(entries int, negTTL time.Duration) {
 // Cache exposes the L1 tier (tests and the chaos harness inspect it).
 func (s *System) Cache() *Cache { return s.cache }
 
-// InvalidateCached drops the L1 entry for g on the named platform at g's
-// batch size, reporting whether one existed. This is the distrust hook: the
-// durable store is untouched, so the next query re-reads L2.
-func (s *System) InvalidateCached(g *onnx.Graph, platform string) (bool, error) {
-	key, err := graphhash.GraphKey(g)
-	if err != nil {
-		return false, err
-	}
-	return s.cache.Invalidate(CacheKey{Hash: key, Platform: platform, Batch: g.BatchSize()}), nil
-}
-
-// FlushCache empties the L1 tier entirely (the nuclear invalidation hook).
-func (s *System) FlushCache() { s.cache.Flush() }
-
-// Store exposes the underlying durable tier. Callers that need the full
-// *db.Store surface (training snapshots, checkpointing) should hold their own
-// reference — the serving layer's storage role does — rather than downcast.
-func (s *System) Store() Storage { return s.store }
-
 // SetFallback installs (or, with nil, clears) the predictor used for
 // graceful degradation when a platform has no healthy devices before the
 // deadline. Degraded answers are marked "degraded" and never stored in the

@@ -253,7 +253,7 @@ func TestQueryManyTotals(t *testing.T) {
 		t.Fatalf("total %.3f != sum %.3f", total, sum)
 	}
 	// Exactly one latency record for the duplicated structure.
-	_, _, lc := s.Store().Counts()
+	_, _, lc := s.store.Counts()
 	if lc != 2 {
 		t.Fatalf("latency records = %d, want 2", lc)
 	}
@@ -312,7 +312,7 @@ func TestQueryConcurrentSameModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Exactly one latency record must exist afterwards.
-	_, _, lc := s.Store().Counts()
+	_, _, lc := s.store.Counts()
 	if lc != 1 {
 		t.Fatalf("latency records = %d, want 1", lc)
 	}
@@ -383,7 +383,7 @@ func TestQueryCoalescesConcurrentIdenticalMisses(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 	// Exactly one latency record.
-	_, _, lc := s.Store().Counts()
+	_, _, lc := s.store.Counts()
 	if lc != 1 {
 		t.Fatalf("latency records = %d, want 1", lc)
 	}

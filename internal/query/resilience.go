@@ -101,7 +101,7 @@ type ResilienceCounters struct {
 }
 
 // ResilientFarm decorates a Measurer; it implements Measurer itself plus
-// the optional DeviceCounter/WaitTracker/HealthTracker pass-throughs.
+// the optional WaitTracker/HealthTracker pass-throughs.
 type ResilientFarm struct {
 	inner  Measurer
 	cfg    ResilienceConfig
@@ -293,14 +293,6 @@ func (rf *ResilientFarm) hedgedAttempt(ctx context.Context, platform string, g *
 			}
 		}
 	}
-}
-
-// Devices passes through to the wrapped farm's device counter.
-func (rf *ResilientFarm) Devices(platform string) int {
-	if dc, ok := rf.inner.(DeviceCounter); ok {
-		return dc.Devices(platform)
-	}
-	return 0
 }
 
 // DeviceWaitSeconds passes through to the wrapped farm's wait tracker.

@@ -44,8 +44,8 @@ func TestSchedulerDrawsFromQueryLog(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if sys.ObservationCount() != 3 {
-		t.Fatalf("observation log size = %d, want 3", sys.ObservationCount())
+	if len(sys.Observations(0)) != 3 {
+		t.Fatalf("observation log size = %d, want 3", len(sys.Observations(0)))
 	}
 
 	cfg := fastActiveConfig()

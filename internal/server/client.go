@@ -11,28 +11,19 @@ import (
 	"strings"
 	"time"
 
-	"nnlqp/internal/cluster"
 	"nnlqp/internal/onnx"
 	"nnlqp/internal/slo"
 )
 
-// DefaultClientTimeout bounds every client request unless overridden via
-// NewClientTimeout or by replacing Client.HTTP.
-const DefaultClientTimeout = 30 * time.Second
-
-// Client is the Go client for the HTTP API.
+// Client is the Go wire client for the HTTP API that the test suites of this
+// package and of internal/chaos drive servers and routers with. The calls
+// only this package's tests make live in client_test.go.
 type Client struct {
 	BaseURL string
 	HTTP    *http.Client
 	// Class optionally tags every request with an SLO class (slo.Header);
 	// empty sends no header and the server treats requests as best-effort.
 	Class slo.Class
-}
-
-// NewClient creates a client for a server at baseURL (e.g.
-// "http://127.0.0.1:8080") with the default request timeout.
-func NewClient(baseURL string) *Client {
-	return NewClientTimeout(baseURL, DefaultClientTimeout)
 }
 
 // NewClientTimeout creates a client with an explicit request timeout
@@ -94,13 +85,9 @@ func encodeRequest(g *onnx.Graph, platform string, batch int) (*Request, error) 
 	}, nil
 }
 
-// Query requests a true latency measurement (or cache hit).
-func (c *Client) Query(g *onnx.Graph, platform string, batch int) (*QueryResponse, error) {
-	return c.QueryContext(context.Background(), g, platform, batch)
-}
-
-// QueryContext is Query bounded by ctx; cancelling it abandons the request
-// (and, server side, releases any pending device wait).
+// QueryContext requests a true latency measurement (or cache hit), bounded by
+// ctx; cancelling it abandons the request (and, server side, releases any
+// pending device wait).
 func (c *Client) QueryContext(ctx context.Context, g *onnx.Graph, platform string, batch int) (*QueryResponse, error) {
 	req, err := encodeRequest(g, platform, batch)
 	if err != nil {
@@ -113,23 +100,9 @@ func (c *Client) QueryContext(ctx context.Context, g *onnx.Graph, platform strin
 	return &out, nil
 }
 
-// Predict requests an NNLP latency prediction.
-func (c *Client) Predict(g *onnx.Graph, platform string, batch int) (float64, error) {
-	return c.PredictContext(context.Background(), g, platform, batch)
-}
-
-// PredictContext is Predict bounded by ctx.
-func (c *Client) PredictContext(ctx context.Context, g *onnx.Graph, platform string, batch int) (float64, error) {
-	out, err := c.PredictDetailed(ctx, g, platform, batch)
-	if err != nil {
-		return 0, err
-	}
-	return out.LatencyMS, nil
-}
-
-// PredictDetailed is PredictContext returning the full response — including
-// the predictor generation the answer was computed under, which a caller
-// tracking hot-swaps needs.
+// PredictDetailed requests an NNLP latency prediction, bounded by ctx, and
+// returns the full response — including the predictor generation the answer
+// was computed under, which a caller tracking hot-swaps needs.
 func (c *Client) PredictDetailed(ctx context.Context, g *onnx.Graph, platform string, batch int) (*PredictResponse, error) {
 	req, err := encodeRequest(g, platform, batch)
 	if err != nil {
@@ -142,20 +115,6 @@ func (c *Client) PredictDetailed(ctx context.Context, g *onnx.Graph, platform st
 	return &out, nil
 }
 
-// Platforms lists the server's platforms.
-func (c *Client) Platforms() ([]string, error) {
-	resp, err := c.HTTP.Get(c.BaseURL + "/platforms")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	var out map[string][]string
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, err
-	}
-	return out["platforms"], nil
-}
-
 // Engine fetches the predictor-engine status: generation, swap history,
 // and (when the online loops run) retrain and active-measurement progress.
 func (c *Client) Engine() (*EngineResponse, error) {
@@ -165,25 +124,6 @@ func (c *Client) Engine() (*EngineResponse, error) {
 	}
 	defer resp.Body.Close()
 	var out EngineResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// Cluster fetches the router's cluster status: routing policy, retry
-// counters and the per-member health view. Only routers serve /cluster; a
-// plain server answers 404.
-func (c *Client) Cluster() (*cluster.StatusResponse, error) {
-	resp, err := c.HTTP.Get(c.BaseURL + "/cluster")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("server: status %d (is this a router?)", resp.StatusCode)
-	}
-	var out cluster.StatusResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		return nil, err
 	}

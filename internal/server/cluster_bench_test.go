@@ -85,8 +85,10 @@ func BenchmarkClusterPolicyL1(b *testing.B) {
 			}
 			b.Cleanup(func() { store.Close() })
 			rt := cluster.New(cluster.Config{Policy: policy})
+			var replicas []string
 			for i := 0; i < 3; i++ {
-				rt.AddReplica(fmt.Sprintf("replica-%d", i), benchReplica(b, store))
+				replicas = append(replicas, benchReplica(b, store))
+				rt.AddReplica(fmt.Sprintf("replica-%d", i), replicas[i])
 			}
 			addr, stop, err := rt.Serve("127.0.0.1:0")
 			if err != nil {
@@ -104,8 +106,8 @@ func BenchmarkClusterPolicyL1(b *testing.B) {
 			b.StopTimer()
 
 			var hits, queries float64
-			for _, m := range rt.Members().Members() {
-				data, err := NewClient("http://" + m.Addr()).Stats()
+			for _, replica := range replicas {
+				data, err := NewClient("http://" + replica).Stats()
 				if err != nil {
 					b.Fatal(err)
 				}

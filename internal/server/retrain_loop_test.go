@@ -10,6 +10,10 @@ import (
 	"nnlqp/internal/serve"
 )
 
+// Engine exposes the predictor engine, to inspect generation and swap
+// history.
+func (s *Server) Engine() *serve.Engine { return s.engine }
+
 // TestServerRetrainLoopEvolves is the acceptance scenario for the online
 // loop: a server started with retraining enabled and *no* predictor must
 // evolve without a restart. Streaming measurements through /query bootstraps

@@ -103,16 +103,6 @@ func New(store *db.Store, farm query.Measurer, pred *core.Predictor) *Server {
 // custom fallback, or read stats directly).
 func (s *Server) System() *query.System { return s.sys }
 
-// Storage exposes the storage role this core serves from.
-func (s *Server) Storage() *StorageRole { return s.storage }
-
-// Measurement exposes the measurement role this core serves from.
-func (s *Server) Measurement() *MeasurementRole { return s.meas }
-
-// Engine exposes the predictor engine (the retrainer swaps through it;
-// tests and CLIs inspect generation and swap history).
-func (s *Server) Engine() *serve.Engine { return s.engine }
-
 // SetPredictor installs (or, with nil, uninstalls) the predictor served by
 // /predict and used as the query path's degradation fallback. The swap is a
 // single atomic publish through the engine: /predict, the batcher, /stats

@@ -81,17 +81,9 @@ func (m *Matrix) Scale(s float64) {
 	}
 }
 
-// parallelThreshold is the multiply-add count above which MatMul fans out
+// parallelThreshold is the multiply-add count above which a matmul fans out
 // across goroutines; below it the goroutine overhead dominates.
 const parallelThreshold = 1 << 17
-
-// MatMul computes out = a·b, allocating out. Panics on shape mismatch.
-func MatMul(a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: matmul shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	return matMulAdd(NewMatrix(a.Rows, b.Cols), a, b)
-}
 
 // MatMulInto computes out = a·b into a caller-supplied (e.g. Scratch-owned)
 // matrix, zeroing it first. Returns out.
@@ -106,26 +98,6 @@ func MatMulInto(out, a, b *Matrix) *Matrix {
 func MatMulAddInto(out, a, b *Matrix) *Matrix {
 	checkMatMulInto(out, a, b)
 	return matMulAdd(out, a, b)
-}
-
-// MatMulIntoSerial is MatMulInto pinned to the calling goroutine: the
-// blocked kernel runs in place with no fan-out, so the call is
-// allocation-free. It is the kernel of the serving-path inference forward
-// (per-request work there is small and already parallel across requests).
-// Results are bit-identical to MatMulInto for the same operands.
-func MatMulIntoSerial(out, a, b *Matrix) *Matrix {
-	checkMatMulInto(out, a, b)
-	out.Zero()
-	matMulRange(a, b, out, 0, a.Rows)
-	return out
-}
-
-// MatMulAddIntoSerial is MatMulAddInto pinned to the calling goroutine (see
-// MatMulIntoSerial).
-func MatMulAddIntoSerial(out, a, b *Matrix) *Matrix {
-	checkMatMulInto(out, a, b)
-	matMulRange(a, b, out, 0, a.Rows)
-	return out
 }
 
 func checkMatMulInto(out, a, b *Matrix) {
@@ -231,12 +203,6 @@ func matMulTile(a, b, out *Matrix, lo, hi, k0, k1, j0, j1 int) {
 	}
 }
 
-// MatMulATB computes aᵀ·b (a: n×p, b: n×q → p×q), the gradient-side product
-// dW = Xᵀ·dY.
-func MatMulATB(a, b *Matrix) *Matrix {
-	return MatMulATBAdd(NewMatrix(a.Cols, b.Cols), a, b)
-}
-
 // MatMulATBAdd computes out += aᵀ·b, accumulating straight into a gradient
 // buffer. Returns out.
 func MatMulATBAdd(out, a, b *Matrix) *Matrix {
@@ -258,12 +224,6 @@ func MatMulATBAdd(out, a, b *Matrix) *Matrix {
 		}
 	}
 	return out
-}
-
-// MatMulABT computes a·bᵀ (a: n×p, b: q×p → n×q), the gradient-side product
-// dX = dY·Wᵀ.
-func MatMulABT(a, b *Matrix) *Matrix {
-	return MatMulABTInto(NewMatrix(a.Rows, b.Rows), a, b)
 }
 
 // MatMulABTInto computes out = a·bᵀ into a caller-supplied matrix,
@@ -294,31 +254,6 @@ func (m *Matrix) XavierInit(rng *rand.Rand) {
 	for i := range m.Data {
 		m.Data[i] = (rng.Float64()*2 - 1) * limit
 	}
-}
-
-// L2NormalizeRows normalizes each row to unit L2 norm in place and returns
-// the pre-normalization norms (needed by the backward pass). Rows with norm
-// below eps are left unscaled and report norm 1.
-func (m *Matrix) L2NormalizeRows(eps float64) []float64 {
-	norms := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		r := m.Row(i)
-		var s float64
-		for _, v := range r {
-			s += v * v
-		}
-		n := math.Sqrt(s)
-		if n < eps {
-			norms[i] = 1
-			continue
-		}
-		norms[i] = n
-		inv := 1 / n
-		for j := range r {
-			r[j] *= inv
-		}
-	}
-	return norms
 }
 
 // Dot returns the dot product of two equal-length vectors.

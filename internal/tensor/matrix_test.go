@@ -81,7 +81,7 @@ func TestMatMulATBAndABT(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a := randomMatrix(rng, 7, 5)
 	b := randomMatrix(rng, 7, 4)
-	atb := MatMulATB(a, b)
+	atb := MatMulATBAdd(NewMatrix(a.Cols, b.Cols), a, b)
 	// Reference: transpose then multiply.
 	at := NewMatrix(a.Cols, a.Rows)
 	for i := 0; i < a.Rows; i++ {
@@ -90,12 +90,17 @@ func TestMatMulATBAndABT(t *testing.T) {
 		}
 	}
 	if !matricesClose(atb, naiveMatMul(at, b), 1e-12) {
-		t.Fatal("MatMulATB wrong")
+		t.Fatal("MatMulATBAdd wrong")
 	}
 
 	c := randomMatrix(rng, 6, 5)
 	d := randomMatrix(rng, 9, 5)
-	abt := MatMulABT(c, d)
+	// Dirty out: ABTInto overwrites every cell.
+	abt := NewMatrix(c.Rows, d.Rows)
+	for i := range abt.Data {
+		abt.Data[i] = 99
+	}
+	MatMulABTInto(abt, c, d)
 	dt := NewMatrix(d.Cols, d.Rows)
 	for i := 0; i < d.Rows; i++ {
 		for j := 0; j < d.Cols; j++ {
@@ -103,25 +108,7 @@ func TestMatMulATBAndABT(t *testing.T) {
 		}
 	}
 	if !matricesClose(abt, naiveMatMul(c, dt), 1e-12) {
-		t.Fatal("MatMulABT wrong")
-	}
-}
-
-func TestL2NormalizeRows(t *testing.T) {
-	m := FromRows([][]float64{{3, 4}, {0, 0}, {1, 0}})
-	norms := m.L2NormalizeRows(1e-12)
-	if math.Abs(norms[0]-5) > 1e-12 {
-		t.Fatalf("norm[0] = %f", norms[0])
-	}
-	if math.Abs(m.At(0, 0)-0.6) > 1e-12 || math.Abs(m.At(0, 1)-0.8) > 1e-12 {
-		t.Fatal("row 0 not normalized")
-	}
-	// Zero row untouched, norm reported as 1.
-	if norms[1] != 1 || m.At(1, 0) != 0 {
-		t.Fatal("zero row mishandled")
-	}
-	if m.At(2, 0) != 1 {
-		t.Fatal("unit row changed")
+		t.Fatal("MatMulABTInto wrong")
 	}
 }
 
@@ -187,14 +174,14 @@ func TestMatMulTransposeProperty(t *testing.T) {
 		a := randomMatrix(rng, n, p)
 		b := randomMatrix(rng, p, q)
 		ab := MatMul(a, b)
-		// (A·B)[i][j] == MatMulABT(A, Bᵀ)[i][j]
+		// (A·B)[i][j] == MatMulABTInto(A, Bᵀ)[i][j]
 		bt := NewMatrix(q, p)
 		for i := 0; i < p; i++ {
 			for j := 0; j < q; j++ {
 				bt.Set(j, i, b.At(i, j))
 			}
 		}
-		return matricesClose(ab, MatMulABT(a, bt), 1e-9)
+		return matricesClose(ab, MatMulABTInto(NewMatrix(n, q), a, bt), 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

@@ -16,8 +16,9 @@ import (
 // Bit-identity: workers partition output rows and run the same blocked
 // matMulRange kernel as the serial path. Every output element is produced by
 // exactly one goroutine with an unchanged accumulation order, so the result
-// is bit-identical to MatMulIntoSerial for any worker count — batching a
-// packed micro-batch through the pooled kernel can never change an answer.
+// is bit-identical to one serial matMulRange over all rows for any worker
+// count — batching a packed micro-batch through the pooled kernel can never
+// change an answer.
 
 // rowJob is one row range of an out += a·b product.
 type rowJob struct {
@@ -51,21 +52,13 @@ func startRowPool() {
 }
 
 // MatMulIntoPooled computes out = a·b, zeroing out first. Small products run
-// serially on the calling goroutine (identical to MatMulIntoSerial); above
+// serially on the calling goroutine; above
 // parallelThreshold the rows fan out across the persistent worker pool. Both
 // regimes are allocation-free in steady state and bit-identical to each
 // other. Returns out.
 func MatMulIntoPooled(out, a, b *Matrix) *Matrix {
 	checkMatMulInto(out, a, b)
 	out.Zero()
-	matMulPooled(out, a, b)
-	return out
-}
-
-// MatMulAddIntoPooled computes out += a·b without zeroing (see
-// MatMulIntoPooled).
-func MatMulAddIntoPooled(out, a, b *Matrix) *Matrix {
-	checkMatMulInto(out, a, b)
 	matMulPooled(out, a, b)
 	return out
 }

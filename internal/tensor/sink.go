@@ -60,14 +60,6 @@ func (b *GradBuf) Reset() {
 	b.touched = b.touched[:0]
 }
 
-// Touched lists the parameters written this cycle, in first-touch order.
-func (b *GradBuf) Touched() []*Param {
-	if b == nil {
-		return nil
-	}
-	return b.touched
-}
-
 // AddInto sums every touched buffer into its parameter's Grad.
 func (b *GradBuf) AddInto() {
 	if b == nil {
@@ -96,9 +88,6 @@ func NewGradSink(n int) *GradSink {
 	}
 	return s
 }
-
-// Slots returns the slot count.
-func (s *GradSink) Slots() int { return len(s.slots) }
 
 // Slot returns slot i's buffer.
 func (s *GradSink) Slot(i int) *GradBuf { return s.slots[i] }

@@ -70,9 +70,6 @@ func TestGradBufNilFallsBackToParamGrad(t *testing.T) {
 	}
 	b.Reset()   // must not panic
 	b.AddInto() // must not panic
-	if b.Touched() != nil {
-		t.Fatal("nil GradBuf has no touched params")
-	}
 }
 
 func TestGradBufCycleZeroesOnFirstTouch(t *testing.T) {
@@ -86,12 +83,15 @@ func TestGradBufCycleZeroesOnFirstTouch(t *testing.T) {
 	if g.Data[0] != 7 {
 		t.Fatal("second Grad in one cycle must not zero")
 	}
-	if len(b.Touched()) != 1 {
-		t.Fatalf("touched = %d, want 1", len(b.Touched()))
+	// One touch lists p once: AddInto adds the buffer into p.Grad once.
+	b.AddInto()
+	if p.Grad.Data[0] != 7 {
+		t.Fatalf("after AddInto: Grad[0] = %v, want 7 (p touched once)", p.Grad.Data[0])
 	}
 	b.Reset()
-	if len(b.Touched()) != 0 {
-		t.Fatal("Reset must clear touched")
+	b.AddInto()
+	if p.Grad.Data[0] != 7 {
+		t.Fatal("Reset must clear touched: AddInto after Reset changed Grad")
 	}
 	if g2 := b.Grad(p); g2.Data[0] != 0 {
 		t.Fatal("first touch of a new cycle must zero")
@@ -216,26 +216,6 @@ func TestMatMulIntoVariantsMatchAllocating(t *testing.T) {
 		t.Fatal("MatMulAddInto did not accumulate")
 	}
 
-	x := randomMatrix(rng, 6, 4)
-	y := randomMatrix(rng, 6, 2)
-	wantATB := MatMulATB(x, y)
-	gotATB := MatMulATBAdd(NewMatrix(4, 2), x, y)
-	if !matricesClose(wantATB, gotATB, 0) {
-		t.Fatal("MatMulATBAdd disagrees with MatMulATB")
-	}
-
-	u := randomMatrix(rng, 3, 5)
-	v := randomMatrix(rng, 2, 5)
-	wantABT := MatMulABT(u, v)
-	// Dirty out: ABTInto overwrites every cell.
-	dirty := NewMatrix(3, 2)
-	for i := range dirty.Data {
-		dirty.Data[i] = 99
-	}
-	gotABT := MatMulABTInto(dirty, u, v)
-	if !matricesClose(wantABT, gotABT, 0) {
-		t.Fatal("MatMulABTInto disagrees with MatMulABT")
-	}
 }
 
 func TestMatMulIntoShapePanics(t *testing.T) {
