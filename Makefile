@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race chaos fuzz check fmt vet deadcode loc bench bench-smoke bench-db bench-query bench-predict bench-retrain bench-cluster bench-kernels profile
+.PHONY: build test race chaos fuzz check fmt vet arm64 deadcode loc bench bench-smoke bench-db bench-query bench-predict bench-retrain bench-cluster bench-kernels profile
 
 build:
 	$(GO) build ./...
@@ -26,16 +26,18 @@ race:
 chaos:
 	$(GO) test -race -v -run TestChaos ./internal/chaos -args -chaos.seed=20260805
 
-# Native fuzzing of the request path's parsers, 20 s per target: DecodeBinary
+# Native fuzzing, 20 s per target. The request path's parsers: DecodeBinary
 # (no panic, bounded allocation) and, whenever the result validates, the
 # indexed graph hash against the frozen reference and across a round trip;
-# then the same for JSON graphs. The seed corpora already run as unit tests
+# then the same for JSON graphs. The packed matmul kernel: bit for bit against
+# the naive reference. The seed corpora already run as unit tests
 # in `go test ./...`. Minimization is capped at 1 s because the default 60 s
 # per coverage-expanding input would spend a 20 s budget shrinking one 10 KB
 # zoo body.
 fuzz:
 	$(GO) test ./internal/graphhash -run '^$$' -fuzz '^FuzzDecodeBinary$$' -fuzztime 20s -fuzzminimizetime 1s
 	$(GO) test ./internal/graphhash -run '^$$' -fuzz '^FuzzGraphKeyJSON$$' -fuzztime 20s -fuzzminimizetime 1s
+	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzPackedKernel$$' -fuzztime 20s -fuzzminimizetime 1s
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -46,6 +48,13 @@ fmt:
 vet:
 	$(GO) vet ./...
 
+# The non-amd64 build: internal/tensor's pair kernel is SSE2 assembly on amd64
+# and the portable Go body elsewhere (kernel_other.go), which no amd64 build
+# compiles. Cross-compiling offline keeps that file from rotting unseen.
+arm64:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/tensor
+
 # Functions under internal/ that no binary links. tools/deadcode builds the
 # roots (./cmd/*, ./examples/*, ./benchmark) with inlining off, reads their
 # symbols with `go tool nm`, and fails unless the unlinked non-test functions
@@ -53,7 +62,7 @@ vet:
 deadcode:
 	$(GO) run ./tools/deadcode
 
-check: fmt vet build deadcode race test
+check: fmt vet arm64 build deadcode race test
 
 # Non-test Go line counts per package under internal/ and cmd/, plus the total
 # (plain wc -l, comments and blank lines included): the number the ROADMAP's
@@ -114,21 +123,25 @@ bench-cluster:
 		-bench 'BenchmarkRouterOverhead|BenchmarkClusterPolicyL1' \
 		-benchmem -benchtime 1s
 
-# Inference-kernel baselines (BENCH_kernels.json): the packed register-blocked
-# matmul microkernel on synthetic shapes, the compiled-plan and plan-less
-# serving entry points it feeds, and the allocation-lean L2 point read.
+# Inference-kernel baselines (BENCH_kernels.json): the packed pair matmul
+# kernel on synthetic shapes and on the default predictor's SAGE-layer shape,
+# the compiled-plan and plan-less serving entry points it feeds, and the
+# allocation-lean L2 point read.
 bench-kernels:
 	$(GO) test ./internal/tensor -run '^$$' -bench 'BenchmarkMatmul' -benchmem -benchtime 1s
 	$(GO) test ./internal/core -run '^$$' \
 		-bench 'BenchmarkPredictPlanned|BenchmarkPredictSteadyState' -benchmem -benchtime 1s
 	$(GO) test ./internal/db -run '^$$' -bench 'BenchmarkPointRead' -benchmem -benchtime 1s
 
-# Profile the two serving hot paths: the database hit as the daemon's handler
-# runs it (BenchmarkServeQueryHit: JSON, base64, onnx decode + index, graph
-# hash, L1 probe) and the pinned-seed planned-predict loop. CPU and allocation
-# pprof captures, then the top-10 cumulative frames of each. The indexed graph
-# form (DESIGN.md §16) and the kernel/fusion/plan work (§15) were steered by
-# exactly these views; rerun after touching either path to see where time moved.
+# Profile the serving hot paths: the database hit as the daemon's handler runs
+# it (BenchmarkServeQueryHit: JSON, base64, onnx decode + index, graph hash, L1
+# probe), the pinned-seed planned-predict loop on a warm plan cache, and the
+# fresh-graph predict that predict_sweep requests take (BenchmarkPredictFresh:
+# extraction, hash, plan build, forward; no plan-cache hits). CPU and
+# allocation pprof captures, then the top-10 cumulative frames of each. The
+# indexed graph form (DESIGN.md §16) and the kernel/fusion/plan work (§15) were
+# steered by exactly these views; rerun after touching either path to see
+# where time moved.
 profile:
 	$(GO) test ./internal/server -run '^$$' -bench 'BenchmarkServeQueryHit' -benchtime 2s \
 		-cpuprofile $(CURDIR)/hit_cpu.prof -memprofile $(CURDIR)/hit_mem.prof
@@ -138,3 +151,7 @@ profile:
 		-cpuprofile $(CURDIR)/cpu.prof -memprofile $(CURDIR)/mem.prof
 	$(GO) tool pprof -top -nodecount=10 -cum $(CURDIR)/cpu.prof
 	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_objects $(CURDIR)/mem.prof
+	$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkPredictFresh' -benchtime 2s \
+		-cpuprofile $(CURDIR)/fresh_cpu.prof -memprofile $(CURDIR)/fresh_mem.prof
+	$(GO) tool pprof -top -nodecount=10 -cum $(CURDIR)/fresh_cpu.prof
+	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_objects $(CURDIR)/fresh_mem.prof

@@ -2,11 +2,14 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
+	"nnlqp/internal/graphhash"
 	"nnlqp/internal/hwsim"
 	"nnlqp/internal/lru"
 	"nnlqp/internal/models"
+	"nnlqp/internal/onnx"
 )
 
 // TestPredictPlannedBitIdenticalAcrossAblations pins the compiled-plan path
@@ -175,5 +178,55 @@ func BenchmarkPredictPlanned(b *testing.B) {
 		if _, err := p.Predict(g, hwsim.DatasetPlatform); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkPredictFresh measures Predict on graphs it has never seen, the
+// path every predict_sweep request takes: each call pays feature extraction,
+// the graph hash, a plan build and the forward, like the repository
+// benchmark's predict_cold probe. The predictor has the default shape
+// (hidden 48, depth 3) that nnlqp-train builds. The graphs cycle through
+// distinct zoo variants until every plan-cache shard has more of them than it
+// holds, so LRU order evicts each plan before its graph comes round again;
+// InvalidateMemo drops the graph's memoized index and features.
+func BenchmarkPredictFresh(b *testing.B) {
+	train := buildSamples(b, []string{models.FamilySqueezeNet}, 10, hwsim.DatasetPlatform, 43)
+	cfg := DefaultConfig()
+	cfg.Epochs = 2
+	p := New(cfg)
+	if err := p.Fit(train); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(55))
+	var graphs []*onnx.Graph
+	seen := map[graphhash.Key]bool{}
+	var perShard [lru.Shards]int
+	for f := 0; slices.Min(perShard[:]) <= defaultPlanEntries/lru.Shards; f = (f + 1) % len(models.Families) {
+		g, err := models.Variant(models.Families[f], rng, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		key, err := graphhash.GraphKey(g)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !seen[key] {
+			seen[key] = true
+			perShard[lru.Shard(uint64(key))]++
+			graphs = append(graphs, g)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g := graphs[i%len(graphs)]
+		g.InvalidateMemo()
+		if _, err := p.Predict(g, hwsim.DatasetPlatform); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if st := p.plans.lru.Stats(); st.Hits != 0 {
+		b.Fatalf("%d plan-cache hits over %d distinct graphs, want 0", st.Hits, len(graphs))
 	}
 }

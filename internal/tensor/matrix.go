@@ -155,7 +155,7 @@ const (
 // kernel. b is processed in kc×jc panels so the same panel is reused by
 // every row of the range before moving on (the naive ikj order re-streams
 // all of b once per row, which thrashes for b larger than L2). Ranges tall
-// enough to amortize packing the panel take the register-blocked kernel in
+// enough to amortize packing the panel take the packed pair kernel in
 // kernel.go; short ranges stay on the scalar tile kernel below. Both are
 // bit-identical, so the split is invisible to callers.
 //

@@ -181,13 +181,15 @@ func linkedKeys(prefix string) (map[string]bool, error) {
 
 // textSymbol returns the name in one `go tool nm` line ("addr type name")
 // when the symbol is code. The name is everything after the type column: the
-// names of generics instantiated over struct shapes contain spaces.
+// names of generics instantiated over struct shapes contain spaces. An
+// assembly function's name carries an .abi0 suffix, dropped here so it names
+// its Go declaration.
 func textSymbol(line string) (string, bool) {
 	f := strings.SplitN(strings.TrimLeft(line, " "), " ", 3)
 	if len(f) != 3 || (f[1] != "T" && f[1] != "t") {
 		return "", false
 	}
-	return f[2], true
+	return strings.TrimSuffix(f[2], ".abi0"), true
 }
 
 var closureSuffix = regexp.MustCompile(`(\.(func|deferwrap|gowrap)?[0-9]+)+$`)

@@ -22,6 +22,8 @@ func TestTextSymbol(t *testing.T) {
 		{memoStatsLine, "nnlqp/internal/lru.(*Cache[go.shape.struct { Hash uint64; Platform string; Generation uint64 },go.shape.float64]).Stats", true},
 		{"  709640 T nnlqp/internal/db.writeSnapshotFile.func2.1", "nnlqp/internal/db.writeSnapshotFile.func2.1", true},
 		{"  4a1b20 t runtime.memmove", "runtime.memmove", true},
+		// An assembly function, named for its Go declaration.
+		{"6cf700 T nnlqp/internal/tensor.accPairs16.abi0", "nnlqp/internal/tensor.accPairs16", true},
 		{"  8cb1d0 R go:itab.*nnlqp/internal/db.Store,nnlqp/internal/query.Storage", "", false},
 		{"  9d0e00 D nnlqp/internal/server.errBodyTooLarge", "", false},
 		{"", "", false},
