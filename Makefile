@@ -55,10 +55,11 @@ arm64:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/tensor
 
-# Functions under internal/ that no binary links. tools/deadcode builds the
-# roots (./cmd/*, ./examples/*, ./benchmark) with inlining off, reads their
-# symbols with `go tool nm`, and fails unless the unlinked non-test functions
-# are exactly the entries of tools/deadcode/allow.txt, each with its reason.
+# Functions of the root package and under internal/ that no binary links.
+# tools/deadcode builds the roots (./cmd/*, ./examples/*, ./benchmark) with
+# inlining off, reads their symbols with `go tool nm`, and fails unless the
+# unlinked non-test functions are exactly the entries of
+# tools/deadcode/allow.txt, each with its reason.
 deadcode:
 	$(GO) run ./tools/deadcode
 
@@ -95,15 +96,16 @@ bench-db:
 		-bench 'InsertThroughput|QueryHotPath|SnapshotScanWhileWriting' -benchtime 1s
 
 # Serving-path baselines (BENCH_query.json): L1 vs database hit latency, the
-# allocation-free prediction hot path, and the blocked matmul kernel.
+# allocation-free plan-less prediction (a width-1 PredictSamplesInto through
+# the one packed forward), the memo hit, and the blocked matmul kernel.
 bench-query:
 	$(GO) test ./internal/query -run '^$$' -bench 'BenchmarkQueryHit' -benchmem -benchtime 1s
 	$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkPredictSteadyState|BenchmarkPredictMemoGet' -benchmem -benchtime 1s
 	$(GO) test ./internal/tensor -run '^$$' -bench 'BenchmarkMatmul' -benchmem -benchtime 1s
 
-# Micro-batched prediction throughput (BENCH_predict.json): the packed batch
-# path at increasing widths, reporting graphs/s and allocs/op. The width-1
-# run is the batching-overhead floor against BenchmarkPredictSteadyState.
+# Micro-batched prediction throughput (BENCH_predict.json): PredictSamplesInto
+# through the packed forward at increasing widths, reporting graphs/s and
+# allocs/op.
 bench-predict:
 	$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkPredictBatch' -benchmem -benchtime 1s
 
@@ -125,8 +127,8 @@ bench-cluster:
 
 # Inference-kernel baselines (BENCH_kernels.json): the packed pair matmul
 # kernel on synthetic shapes and on the default predictor's SAGE-layer shape,
-# the compiled-plan and plan-less serving entry points it feeds, and the
-# allocation-lean L2 point read.
+# the forward it feeds with a compiled plan (Predict) and without one (a
+# width-1 PredictSamplesInto), and the allocation-lean L2 point read.
 bench-kernels:
 	$(GO) test ./internal/tensor -run '^$$' -bench 'BenchmarkMatmul' -benchmem -benchtime 1s
 	$(GO) test ./internal/core -run '^$$' \

@@ -121,7 +121,8 @@ func TestPredictBatchAblationConfigs(t *testing.T) {
 }
 
 // TestPredictSamplesIntoMatchesPredictSample covers the pre-extracted
-// feature entry point used by the server batcher, including dst reuse.
+// feature entry point used by the server batcher, including dst reuse: a
+// width-5 call must reproduce five width-1 calls bit for bit.
 func TestPredictSamplesIntoMatchesPredictSample(t *testing.T) {
 	train := buildSamples(t, []string{models.FamilySqueezeNet}, 10, hwsim.DatasetPlatform, 34)
 	cfg := quickConfig()
@@ -142,12 +143,12 @@ func TestPredictSamplesIntoMatchesPredictSample(t *testing.T) {
 	if len(dst) != 1+len(gfs) || dst[0] != -1 {
 		t.Fatalf("append semantics broken: len %d, dst[0]=%v", len(dst), dst[0])
 	}
-	for i, gf := range gfs {
-		want, err := p.PredictSample(gf, hwsim.DatasetPlatform)
+	for i := range gfs {
+		solo, err := p.PredictSamplesInto(nil, gfs[i:i+1], hwsim.DatasetPlatform)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if dst[1+i] != want {
+		if want := solo[0]; dst[1+i] != want {
 			t.Fatalf("sample %d: batched %v != solo %v", i, dst[1+i], want)
 		}
 	}
@@ -181,8 +182,8 @@ func TestPredictBatchErrors(t *testing.T) {
 }
 
 // TestPredictBatchSteadyStateAllocs pins the allocation-free batched hot
-// path: with warmed pools and a reused dst, PredictBatchInto must not
-// allocate — the acceptance criterion for the packed serving path.
+// path: with warmed pools and a reused dst, an 8-wide PredictSamplesInto
+// must not allocate — the acceptance criterion for the packed serving path.
 func TestPredictBatchSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool intentionally bypasses its cache under -race, so alloc counts are meaningless")
@@ -194,33 +195,32 @@ func TestPredictBatchSteadyStateAllocs(t *testing.T) {
 	if err := p.Fit(train); err != nil {
 		t.Fatal(err)
 	}
-	graphs := buildGraphs(t, []string{models.FamilySqueezeNet}, 8, 38)
-	dst := make([]float64, 0, len(graphs))
-	// Warm: feature-extraction memos, packing buffers, every scratch shape.
+	gfs := extractAll(t, p, buildGraphs(t, []string{models.FamilySqueezeNet}, 8, 38))
+	dst := make([]float64, 0, len(gfs))
+	// Warm: packing buffers, every scratch shape.
 	for i := 0; i < 3; i++ {
 		var err error
-		dst, err = p.PredictBatchInto(dst[:0], graphs, hwsim.DatasetPlatform)
+		dst, err = p.PredictSamplesInto(dst[:0], gfs, hwsim.DatasetPlatform)
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
 	avg := testing.AllocsPerRun(100, func() {
 		var err error
-		dst, err = p.PredictBatchInto(dst[:0], graphs, hwsim.DatasetPlatform)
+		dst, err = p.PredictSamplesInto(dst[:0], gfs, hwsim.DatasetPlatform)
 		if err != nil {
 			t.Fatal(err)
 		}
 	})
 	if avg > 0 {
-		t.Fatalf("PredictBatchInto allocates %.1f objects/op in steady state, want 0", avg)
+		t.Fatalf("PredictSamplesInto allocates %.1f objects/op in steady state, want 0", avg)
 	}
 }
 
 // BenchmarkPredictBatch measures packed-batch throughput at increasing batch
 // widths (run with -benchmem). The graphs/s metric is the headline: it must
 // increase with width as the blocked matmul amortizes each weight panel over
-// more rows. Width 1 is the batching overhead floor versus
-// BenchmarkPredictSteadyState.
+// more rows.
 func BenchmarkPredictBatch(b *testing.B) {
 	train := buildSamples(b, []string{models.FamilyAlexNet}, 10, hwsim.DatasetPlatform, 39)
 	cfg := quickConfig()
@@ -229,21 +229,21 @@ func BenchmarkPredictBatch(b *testing.B) {
 	if err := p.Fit(train); err != nil {
 		b.Fatal(err)
 	}
-	graphs := buildGraphs(b, []string{models.FamilyAlexNet}, 32, 40)
+	gfs := extractAll(b, p, buildGraphs(b, []string{models.FamilyAlexNet}, 32, 40))
 	for _, width := range []int{1, 2, 4, 8, 16, 32} {
 		b.Run(benchName(width), func(b *testing.B) {
-			gs := graphs[:width]
+			batch := gfs[:width]
 			dst := make([]float64, 0, width)
 			var err error
 			for i := 0; i < 3; i++ {
-				if dst, err = p.PredictBatchInto(dst[:0], gs, hwsim.DatasetPlatform); err != nil {
+				if dst, err = p.PredictSamplesInto(dst[:0], batch, hwsim.DatasetPlatform); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if dst, err = p.PredictBatchInto(dst[:0], gs, hwsim.DatasetPlatform); err != nil {
+				if dst, err = p.PredictSamplesInto(dst[:0], batch, hwsim.DatasetPlatform); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -253,6 +253,20 @@ func BenchmarkPredictBatch(b *testing.B) {
 			}
 		})
 	}
+}
+
+// extractAll extracts every graph's features under p's configuration.
+func extractAll(t testing.TB, p *Predictor, gs []*onnx.Graph) []*feats.GraphFeatures {
+	t.Helper()
+	gfs := make([]*feats.GraphFeatures, len(gs))
+	for i, g := range gs {
+		gf, err := p.Extract(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gfs[i] = gf
+	}
+	return gfs
 }
 
 // benchName formats a width sub-benchmark name with stable lexical ordering.

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"nnlqp/internal/feats"
 	"nnlqp/internal/hwsim"
 	"nnlqp/internal/lru"
 	"nnlqp/internal/models"
@@ -109,13 +110,12 @@ func TestGenerationChangesOnWeightUpdates(t *testing.T) {
 	// generation is unreachable afterwards — lookups under the live
 	// generation miss and the caller re-predicts.
 	m := NewPredictMemo(0)
-	gf := train[0].GF
 	gen := p.Generation()
-	v, err := p.PredictSample(gf, hwsim.DatasetPlatform)
+	v, err := p.PredictSamplesInto(nil, []*feats.GraphFeatures{train[0].GF}, hwsim.DatasetPlatform)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Put(1, hwsim.DatasetPlatform, gen, v)
+	m.Put(1, hwsim.DatasetPlatform, gen, v[0])
 	if err := p.FineTune(train[4:], 1); err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,8 @@ func TestGenerationChangesOnWeightUpdates(t *testing.T) {
 }
 
 // TestPredictSteadyStateAllocs pins the allocation-free hot path: once the
-// sync.Pool-backed scratch state is warm, PredictSample must not allocate.
+// sync.Pool-backed workspace is warm, a width-1 PredictSamplesInto into a
+// reused dst (pack, normalize, forward) must not allocate.
 func TestPredictSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool intentionally bypasses its cache under -race, so alloc counts are meaningless")
@@ -137,26 +138,28 @@ func TestPredictSteadyStateAllocs(t *testing.T) {
 	if err := p.Fit(train); err != nil {
 		t.Fatal(err)
 	}
-	gf := train[0].GF
+	gfs := []*feats.GraphFeatures{train[0].GF}
+	dst := make([]float64, 0, 1)
 	// Warm the pool so every shape bucket exists.
 	for i := 0; i < 3; i++ {
-		if _, err := p.PredictSample(gf, hwsim.DatasetPlatform); err != nil {
+		if _, err := p.PredictSamplesInto(dst, gfs, hwsim.DatasetPlatform); err != nil {
 			t.Fatal(err)
 		}
 	}
 	avg := testing.AllocsPerRun(100, func() {
-		if _, err := p.PredictSample(gf, hwsim.DatasetPlatform); err != nil {
+		if _, err := p.PredictSamplesInto(dst, gfs, hwsim.DatasetPlatform); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if avg > 0 {
-		t.Fatalf("PredictSample allocates %.1f objects/op in steady state, want 0", avg)
+		t.Fatalf("PredictSamplesInto allocates %.1f objects/op in steady state, want 0", avg)
 	}
 }
 
-// BenchmarkPredictSteadyState measures the warmed single-prediction hot path
-// (run with -benchmem; the allocs/op column is pinned to 0 by
-// TestPredictSteadyStateAllocs).
+// BenchmarkPredictSteadyState measures the warmed plan-less single
+// prediction: a width-1 PredictSamplesInto packs and normalizes the features
+// and runs the forward on every call (run with -benchmem; the allocs/op
+// column is pinned to 0 by TestPredictSteadyStateAllocs).
 func BenchmarkPredictSteadyState(b *testing.B) {
 	train := buildSamples(b, []string{models.FamilySqueezeNet}, 10, hwsim.DatasetPlatform, 43)
 	cfg := quickConfig()
@@ -165,16 +168,17 @@ func BenchmarkPredictSteadyState(b *testing.B) {
 	if err := p.Fit(train); err != nil {
 		b.Fatal(err)
 	}
-	gf := train[0].GF
+	gfs := []*feats.GraphFeatures{train[0].GF}
+	dst := make([]float64, 0, 1)
 	for i := 0; i < 3; i++ {
-		if _, err := p.PredictSample(gf, hwsim.DatasetPlatform); err != nil {
+		if _, err := p.PredictSamplesInto(dst, gfs, hwsim.DatasetPlatform); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.PredictSample(gf, hwsim.DatasetPlatform); err != nil {
+		if _, err := p.PredictSamplesInto(dst, gfs, hwsim.DatasetPlatform); err != nil {
 			b.Fatal(err)
 		}
 	}

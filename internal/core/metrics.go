@@ -5,6 +5,7 @@ import (
 	"math"
 	"sync"
 
+	"nnlqp/internal/feats"
 	"nnlqp/internal/train"
 )
 
@@ -145,8 +146,9 @@ func (p *Predictor) Evaluate(samples []Sample) (Metrics, error) {
 	var mu sync.Mutex
 	var firstErr error
 	train.ParallelFor(p.cfg.Workers, len(samples), func(_, i int) {
-		pred, err := p.PredictSample(samples[i].GF, samples[i].Platform)
-		if err != nil {
+		// preds[i:i] has room for exactly the one answer appended.
+		s := samples[i]
+		if _, err := p.PredictSamplesInto(preds[i:i], []*feats.GraphFeatures{s.GF}, s.Platform); err != nil {
 			mu.Lock()
 			if firstErr == nil {
 				firstErr = err
@@ -154,8 +156,7 @@ func (p *Predictor) Evaluate(samples []Sample) (Metrics, error) {
 			mu.Unlock()
 			return
 		}
-		truths[i] = samples[i].LatencyMS
-		preds[i] = pred
+		truths[i] = s.LatencyMS
 	})
 	if firstErr != nil {
 		return Metrics{}, firstErr

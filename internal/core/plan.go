@@ -1,11 +1,10 @@
 package core
 
 import (
-	"fmt"
-
 	"nnlqp/internal/feats"
-	"nnlqp/internal/gnn"
+	"nnlqp/internal/graphhash"
 	"nnlqp/internal/lru"
+	"nnlqp/internal/onnx"
 	"nnlqp/internal/tensor"
 )
 
@@ -16,11 +15,11 @@ import (
 //   - weightPlan: the encoder's stacked [W1;W2] matrices for the fused
 //     inference forward, rebuilt once per predictor generation instead of
 //     once per call. One atomic pointer, double-checked rebuild.
-//   - graphPlan: per-graph-hash compiled request state — the normalized
-//     node-feature matrix, the flattened CSR adjacency and the normalized
-//     static vector. Repeat predictions of a known graph on a new platform
-//     or generation (where the downstream prediction memo misses) skip
-//     feature cloning, normalization and adjacency reshaping entirely.
+//   - graphPlan: per-graph-hash compiled request state — the graph packed
+//     as a one-segment forward input (normalized node features, flattened
+//     CSR adjacency, normalized static vector). Repeat predictions of a
+//     known graph on a new platform or generation (where the downstream
+//     prediction memo misses) skip packing and normalization entirely.
 //
 // A generation mismatch can only orphan an entry, never corrupt a result:
 // Fit/FineTune bump the generation before touching weights, so anything a
@@ -51,16 +50,13 @@ func (p *Predictor) weightPlanCurrent() *weightPlan {
 	return wp
 }
 
-// graphPlan is one graph's compiled request state under one generation.
-// All fields are read-only after build, so concurrent predictions share a
-// plan freely.
+// graphPlan is one graph's compiled request state under one generation: its
+// packed, normalized forward input. All fields are read-only after build, so
+// concurrent predictions share a plan freely.
 type graphPlan struct {
-	gen    uint64
-	hash   uint64
-	x      *tensor.Matrix // normalized node features
-	csr    gnn.CSR        // flattened adjacency
-	static []float64      // normalized static features
-	nodes  int
+	gen  uint64
+	hash uint64
+	in   rows
 }
 
 // defaultPlanEntries bounds the plan cache. Plans carry a full normalized
@@ -88,43 +84,36 @@ func (c *planCache) get(hash, gen uint64) *graphPlan {
 // put stores pl, replacing any same-hash entry, stale or not.
 func (c *planCache) put(pl *graphPlan) { c.lru.Put(pl.hash, pl) }
 
-// buildPlan compiles one graph's request state: clone + normalize features
-// once, flatten the adjacency once. The build allocates; every subsequent
-// prediction through the plan does not.
-func (p *Predictor) buildPlan(hash, gen uint64, gf *feats.GraphFeatures) *graphPlan {
-	pl := &graphPlan{gen: gen, hash: hash, nodes: gf.X.Rows}
-	pl.x = gf.X.Clone()
-	p.norm.ApplyX(pl.x)
-	pl.static = append([]float64(nil), gf.Static...)
-	p.norm.ApplyStatic(pl.static)
-	pl.csr.Reset()
-	pl.csr.AppendGraph(gf.Adj, 0)
-	return pl
-}
-
-// predictPlanned is PredictSample through the plan cache: normalization and
-// adjacency flattening come precompiled, so the request's cost is one fused
-// forward pass. Bit-identical to PredictSample (Apply ≡ ApplyX+ApplyStatic
-// and the forward is the same fused kernel chain).
-func (p *Predictor) predictPlanned(hash uint64, gf *feats.GraphFeatures, platform string) (float64, error) {
-	if p.norm == nil {
-		return 0, fmt.Errorf("core: predictor not fitted")
+// Predict extracts features (memoized on the graph) and predicts latency
+// (ms). Repeat predictions for the same *onnx.Graph skip extraction entirely
+// (see feats.ExtractCached for the mutation caveat), and known graph hashes
+// hit the compiled plan cache, skipping packing and normalization too, so
+// the request's cost is one forward. A plan miss compiles the graph once —
+// the build allocates; every later prediction through the plan does not.
+func (p *Predictor) Predict(g *onnx.Graph, platform string) (float64, error) {
+	gf, err := p.Extract(g)
+	if err != nil {
+		return 0, err
 	}
-	h, ok := p.heads[platform]
-	if !ok {
-		return 0, fmt.Errorf("core: no head for platform %q", platform)
+	// Extraction built the graph's index, so the key is a memo read plus the
+	// input-shape fold, and cannot fail.
+	key, err := graphhash.GraphKey(g)
+	if err != nil {
+		return 0, err
+	}
+	if err := p.ready(platform); err != nil {
+		return 0, err
 	}
 	gen := p.gen.Load()
-	pl := p.plans.get(hash, gen)
+	pl := p.plans.get(uint64(key), gen)
 	if pl == nil {
-		pl = p.buildPlan(hash, gen, gf)
+		pl = &graphPlan{gen: gen, hash: uint64(key)}
+		p.pack(&pl.in, []*feats.GraphFeatures{gf})
 		p.plans.put(pl)
 	}
-	st := p.infPool.Get().(*predictState)
-	headIn := p.embedFused(pl.x, &pl.csr, pl.static, st.sc)
-	pred := h.ForwardInfer(headIn, st.sc)
-	out := p.decodeTarget(pred.At(0, 0), platform)
-	st.sc.Reset()
-	p.infPool.Put(st)
-	return out, nil
+	st := p.workspace()
+	var out [1]float64
+	v := p.forward(out[:0], st.sc, &pl.in, []string{platform})[0]
+	p.workspaces.Put(st)
+	return v, nil
 }

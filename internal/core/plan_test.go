@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"nnlqp/internal/feats"
 	"nnlqp/internal/graphhash"
 	"nnlqp/internal/hwsim"
 	"nnlqp/internal/lru"
@@ -13,11 +14,13 @@ import (
 )
 
 // TestPredictPlannedBitIdenticalAcrossAblations pins the compiled-plan path
-// (Predict: cached normalized features + CSR + stacked weights) against the
-// per-request path (PredictSample: clone, normalize, flatten every call),
+// (Predict: cached packed rows + stacked weights) against the per-request
+// path (a width-1 PredictSamplesInto: pack, normalize every call),
 // bitwise, under every ablation flag — both on the plan-building first call
 // and on plan-cache hits, and again after a FineTune invalidates the plan
-// generation.
+// generation. Both are also pinned to the training-side composition
+// (trainingPredict), so the served forward cannot drift from the one that
+// was fitted and validated.
 func TestPredictPlannedBitIdenticalAcrossAblations(t *testing.T) {
 	mutate := []func(*Config){
 		func(c *Config) {},                         // full NNLP
@@ -47,9 +50,13 @@ func TestPredictPlannedBitIdenticalAcrossAblations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := p.PredictSample(gf, hwsim.DatasetPlatform)
+		solo, err := p.PredictSamplesInto(nil, []*feats.GraphFeatures{gf}, hwsim.DatasetPlatform)
 		if err != nil {
 			t.Fatal(err)
+		}
+		want := solo[0]
+		if ref := trainingPredict(p, gf, hwsim.DatasetPlatform); want != ref {
+			t.Fatalf("config %d: inference forward %v != training embed+head %v (must be bit-identical)", mi, want, ref)
 		}
 		for pass := 0; pass < 3; pass++ { // build, then two cache hits
 			got, err := p.Predict(g, hwsim.DatasetPlatform)
@@ -66,9 +73,13 @@ func TestPredictPlannedBitIdenticalAcrossAblations(t *testing.T) {
 		if err := p.FineTune(train[:4], 1); err != nil {
 			t.Fatal(err)
 		}
-		want2, err := p.PredictSample(gf, hwsim.DatasetPlatform)
+		solo2, err := p.PredictSamplesInto(nil, []*feats.GraphFeatures{gf}, hwsim.DatasetPlatform)
 		if err != nil {
 			t.Fatal(err)
+		}
+		want2 := solo2[0]
+		if ref := trainingPredict(p, gf, hwsim.DatasetPlatform); want2 != ref {
+			t.Fatalf("config %d: post-FineTune inference forward %v != training embed+head %v", mi, want2, ref)
 		}
 		got2, err := p.Predict(g, hwsim.DatasetPlatform)
 		if err != nil {
@@ -81,6 +92,17 @@ func TestPredictPlannedBitIdenticalAcrossAblations(t *testing.T) {
 			t.Log("fine-tune produced identical predictions; stale-plan coverage is weak for this seed")
 		}
 	}
+}
+
+// trainingPredict predicts gf on platform through the training path — a
+// normalized clone, embed (mean-pool scaling, static concat, the
+// UseNodeFeats/UseGNN switch), the head's scratch forward without dropout,
+// decodeTarget — as the reference the inference forward must match bitwise.
+func trainingPredict(p *Predictor, gf *feats.GraphFeatures, platform string) float64 {
+	ns := p.normalizeSamples([]Sample{{GF: gf, Platform: platform}})
+	c := p.embed(ns[0].GF, nil)
+	y, _ := p.heads[platform].ForwardScratch(c.headIn, false, nil, nil)
+	return p.decodeTarget(y.At(0, 0), platform)
 }
 
 // TestPlanCacheStaleAndEvict unit-tests the sharded plan LRU: generation
@@ -153,7 +175,7 @@ func TestPredictPlannedSteadyStateAllocs(t *testing.T) {
 // BenchmarkPredictPlanned measures the full Predict entry point on a warm
 // plan cache — the serving path for a known graph on a platform/generation
 // the prediction memo has not seen (its complement, BenchmarkPredictSteadyState,
-// measures the plan-less PredictSample).
+// measures the plan-less width-1 PredictSamplesInto).
 func BenchmarkPredictPlanned(b *testing.B) {
 	train := buildSamples(b, []string{models.FamilySqueezeNet}, 10, hwsim.DatasetPlatform, 43)
 	cfg := quickConfig()

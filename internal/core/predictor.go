@@ -17,7 +17,6 @@ import (
 
 	"nnlqp/internal/feats"
 	"nnlqp/internal/gnn"
-	"nnlqp/internal/graphhash"
 	"nnlqp/internal/onnx"
 	"nnlqp/internal/tensor"
 	"nnlqp/internal/train"
@@ -148,14 +147,10 @@ type Predictor struct {
 	// fine-tune invalidates them implicitly instead of by manual flush.
 	gen atomic.Uint64
 
-	// infPool recycles per-goroutine inference state (scratch arena +
-	// feature clone buffer) so steady-state Predict allocates nothing.
-	infPool sync.Pool
-
-	// batchPool recycles per-goroutine batched-inference workspaces
-	// (packing buffers + scratch) so steady-state PredictBatch allocates
-	// nothing; see batch.go.
-	batchPool sync.Pool
+	// workspaces recycles per-goroutine inference workspaces (packing
+	// buffers + scratch arena) so the steady-state forward allocates
+	// nothing; see forward.go.
+	workspaces sync.Pool
 
 	// wplan caches the encoder's stacked [W1;W2] fused-inference weights,
 	// rebuilt once per generation; plans caches per-graph compiled request
@@ -166,13 +161,6 @@ type Predictor struct {
 
 	// epochHook observes per-epoch training metrics. Not serialized.
 	epochHook func(train.EpochMetrics)
-}
-
-// predictState is one goroutine's pooled inference workspace.
-type predictState struct {
-	sc  *tensor.Scratch
-	gf  *feats.GraphFeatures
-	csr gnn.CSR
 }
 
 // Generation returns the predictor's current generation. Values are unique
@@ -200,9 +188,6 @@ func New(cfg Config) *Predictor {
 		plans: newPlanCache(defaultPlanEntries),
 	}
 	p.bumpGeneration()
-	p.infPool.New = func() any {
-		return &predictState{sc: tensor.NewScratch(), gf: &feats.GraphFeatures{}}
-	}
 	if cfg.UseGNN && cfg.UseNodeFeats {
 		if cfg.NoFinalNorm {
 			p.enc = gnn.NewEncoderNoFinalNorm(feats.FeatureDim, cfg.Hidden, cfg.Depth, p.rng)
@@ -599,134 +584,4 @@ func (p *Predictor) backwardEmbed(c *embedCaches, dIn *tensor.Matrix, gb *tensor
 		dH := gnn.SumPoolBackwardScratch(dPool, c.gf.X.Rows, sc)
 		p.enc.BackwardSink(c.encC, dH, gb, sc)
 	}
-}
-
-// embedFused computes the head input from already-normalized features on
-// the inference-only path: the fused CSR forward with per-generation
-// stacked weights, no backward caches, no goroutine fan-out — every matrix
-// comes from sc, so with a warm Scratch the call is allocation-free. The
-// head input is bit-identical to embed's (same kernels, same per-element
-// accumulation order; fusion only halves kernel invocations). csr may be
-// nil when the configuration does not run the GNN.
-func (p *Predictor) embedFused(x *tensor.Matrix, csr *gnn.CSR, static []float64, sc *tensor.Scratch) *tensor.Matrix {
-	var pooled *tensor.Matrix
-	switch {
-	case !p.cfg.UseNodeFeats:
-		// static only
-	case p.cfg.UseGNN:
-		wp := p.weightPlanCurrent()
-		h := p.enc.ForwardInferCSR(x, csr, wp.stacked, sc)
-		pooled = gnn.SumPoolScratch(h, sc)
-		if p.cfg.MeanPool && h.Rows > 0 {
-			pooled.Scale(1 / float64(h.Rows))
-		}
-	default:
-		pooled = gnn.SumPoolScratch(x, sc)
-		if p.cfg.MeanPool && x.Rows > 0 {
-			pooled.Scale(1 / float64(x.Rows))
-		}
-	}
-	dim := 0
-	if pooled != nil {
-		dim = pooled.Cols
-	}
-	withStatic := p.cfg.UseStatic || dim == 0
-	if withStatic {
-		dim += len(static)
-	}
-	headIn := sc.Get(1, dim)
-	row := headIn.Row(0)
-	if pooled != nil {
-		copy(row, pooled.Row(0))
-		row = row[pooled.Cols:]
-	}
-	if withStatic {
-		copy(row, static)
-	}
-	return headIn
-}
-
-// PredictSample predicts latency (ms) for a prepared sample's features.
-// Steady state is allocation-free: the feature clone, normalization,
-// adjacency flattening and every forward intermediate run on a pooled
-// per-goroutine workspace, and the forward pass itself builds no backward
-// caches. gf is only read.
-func (p *Predictor) PredictSample(gf *feats.GraphFeatures, platform string) (float64, error) {
-	if p.norm == nil {
-		return 0, fmt.Errorf("core: predictor not fitted")
-	}
-	h, ok := p.heads[platform]
-	if !ok {
-		return 0, fmt.Errorf("core: no head for platform %q", platform)
-	}
-	st := p.infPool.Get().(*predictState)
-	st.gf.CopyFrom(gf)
-	p.norm.Apply(st.gf)
-	var csr *gnn.CSR
-	if p.cfg.UseNodeFeats && p.cfg.UseGNN {
-		st.csr.Reset()
-		st.csr.AppendGraph(st.gf.Adj, 0)
-		csr = &st.csr
-	}
-	headIn := p.embedFused(st.gf.X, csr, st.gf.Static, st.sc)
-	pred := h.ForwardInfer(headIn, st.sc)
-	out := p.decodeTarget(pred.At(0, 0), platform)
-	st.sc.Reset()
-	p.infPool.Put(st)
-	return out, nil
-}
-
-// Predict extracts features (memoized on the graph) and predicts latency
-// (ms). Repeat predictions for the same *onnx.Graph skip extraction
-// entirely (see feats.ExtractCached for the mutation caveat), and known
-// graph hashes hit the compiled plan cache, skipping normalization and
-// adjacency flattening too.
-func (p *Predictor) Predict(g *onnx.Graph, platform string) (float64, error) {
-	gf, err := feats.ExtractCached(g, p.cfg.elemSize())
-	if err != nil {
-		return 0, err
-	}
-	// Extraction built the graph's index, so the key is a memo read plus the
-	// input-shape fold, and cannot fail.
-	key, err := graphhash.GraphKey(g)
-	if err != nil {
-		return 0, err
-	}
-	return p.predictPlanned(uint64(key), gf, platform)
-}
-
-// PredictAllSample predicts latency on every platform head from one shared
-// embedding computation — the single-model multi-head inference mode whose
-// cost advantage §8.5 reports (one backbone forward serves all heads). This
-// is the batched/parallel counterpart of PredictSample: the backbone forward
-// uses the goroutine-parallel matmul kernels and the per-platform heads fan
-// out across Config.Workers, trading allocations for wall-clock latency.
-func (p *Predictor) PredictAllSample(gf *feats.GraphFeatures) (map[string]float64, error) {
-	if p.norm == nil {
-		return nil, fmt.Errorf("core: predictor not fitted")
-	}
-	c := gf.Clone()
-	p.norm.Apply(c)
-	ec := p.embed(c, nil)
-	plats := p.Platforms()
-	preds := make([]float64, len(plats))
-	train.ParallelFor(p.cfg.Workers, len(plats), func(_, i int) {
-		pred, _ := p.heads[plats[i]].Forward(ec.headIn, false, nil)
-		preds[i] = p.decodeTarget(pred.At(0, 0), plats[i])
-	})
-	out := make(map[string]float64, len(plats))
-	for i, plat := range plats {
-		out[plat] = preds[i]
-	}
-	return out, nil
-}
-
-// PredictAll extracts features once (memoized on the graph) and predicts
-// latency on every platform.
-func (p *Predictor) PredictAll(g *onnx.Graph) (map[string]float64, error) {
-	gf, err := feats.ExtractCached(g, p.cfg.elemSize())
-	if err != nil {
-		return nil, err
-	}
-	return p.PredictAllSample(gf)
 }

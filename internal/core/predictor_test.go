@@ -345,7 +345,11 @@ func TestPredictAllSharesEmbedding(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := models.BuildSqueezeNet(models.BaseSqueezeNet(1))
-	all, err := p.PredictAll(g)
+	gf, err := p.Extract(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, err := p.PredictAll(gf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,9 +365,13 @@ func TestPredictAllSharesEmbedding(t *testing.T) {
 		if single != all[plat] {
 			t.Fatalf("%s: PredictAll %.6f != Predict %.6f", plat, all[plat], single)
 		}
+		// ...and with the training composition (embed, then the head).
+		if ref := trainingPredict(p, gf, plat); ref != all[plat] {
+			t.Fatalf("%s: PredictAll %v != training embed+head %v", plat, all[plat], ref)
+		}
 	}
 	// Unfitted predictor errors.
-	if _, err := New(cfg).PredictAll(g); err == nil {
+	if _, err := New(cfg).PredictAll(gf); err == nil {
 		t.Fatal("want unfitted error")
 	}
 }

@@ -14,14 +14,20 @@ import (
 
 // snapshot is the gob wire form of a trained predictor: everything needed
 // to reload it for inference or further fine-tuning (the paper's
-// "pre-trained model" artifacts).
+// "pre-trained model" artifacts). Per-platform state is stored in slices
+// aligned with HeadOrder (sorted platform names), so one predictor always
+// encodes to the same bytes; gob writes maps in random order. Targets and
+// Heads are that state as maps, only read from files written before the
+// slices existed.
 type snapshot struct {
-	Cfg       Config
-	Norm      *feats.Normalizer
-	Targets   map[string]targetStats
-	Encoder   [][]matrixSnap // per layer: [W1, W2]
-	Heads     map[string][]matrixSnap
-	HeadOrder []string
+	Cfg         Config
+	Norm        *feats.Normalizer
+	Targets     map[string]targetStats
+	Encoder     [][]matrixSnap // per layer: [W1, W2]
+	Heads       map[string][]matrixSnap
+	HeadOrder   []string
+	TargetStats []targetStats
+	HeadParams  [][]matrixSnap
 }
 
 type matrixSnap struct {
@@ -55,12 +61,7 @@ func (p *Predictor) Save(w io.Writer) error {
 	if p.norm == nil {
 		return fmt.Errorf("core: cannot save an unfitted predictor")
 	}
-	s := snapshot{
-		Cfg:     p.cfg,
-		Norm:    p.norm,
-		Targets: p.tgt,
-		Heads:   make(map[string][]matrixSnap),
-	}
+	s := snapshot{Cfg: p.cfg, Norm: p.norm}
 	if p.enc != nil {
 		for _, l := range p.enc.Layers {
 			s.Encoder = append(s.Encoder, []matrixSnap{snapMatrix(l.W1.Value), snapMatrix(l.W2.Value)})
@@ -68,7 +69,8 @@ func (p *Predictor) Save(w io.Writer) error {
 	}
 	for _, name := range p.Platforms() {
 		s.HeadOrder = append(s.HeadOrder, name)
-		s.Heads[name] = headParamsSnap(p.heads[name])
+		s.TargetStats = append(s.TargetStats, p.tgt[name])
+		s.HeadParams = append(s.HeadParams, headParamsSnap(p.heads[name]))
 	}
 	return gob.NewEncoder(w).Encode(&s)
 }
@@ -79,12 +81,18 @@ func Load(r io.Reader) (*Predictor, error) {
 	if err := gob.NewDecoder(r).Decode(&s); err != nil {
 		return nil, err
 	}
+	if s.HeadParams == nil {
+		// Written before the ordered slices: read the maps.
+		for _, name := range s.HeadOrder {
+			s.TargetStats = append(s.TargetStats, s.Targets[name])
+			s.HeadParams = append(s.HeadParams, s.Heads[name])
+		}
+	}
+	if len(s.TargetStats) != len(s.HeadOrder) || len(s.HeadParams) != len(s.HeadOrder) {
+		return nil, fmt.Errorf("core: snapshot has %d heads, %d target stats and %d head tensor sets", len(s.HeadOrder), len(s.TargetStats), len(s.HeadParams))
+	}
 	p := New(s.Cfg)
 	p.norm = s.Norm
-	p.tgt = s.Targets
-	if p.tgt == nil {
-		p.tgt = make(map[string]targetStats)
-	}
 	if p.enc != nil {
 		if len(s.Encoder) != len(p.enc.Layers) {
 			return nil, fmt.Errorf("core: snapshot has %d encoder layers, config wants %d", len(s.Encoder), len(p.enc.Layers))
@@ -98,10 +106,10 @@ func Load(r io.Reader) (*Predictor, error) {
 			}
 		}
 	}
-	for _, name := range s.HeadOrder {
-		h := p.head(name)
-		params := h.Params()
-		snaps := s.Heads[name]
+	for i, name := range s.HeadOrder {
+		p.tgt[name] = s.TargetStats[i]
+		params := p.head(name).Params()
+		snaps := s.HeadParams[i]
 		if len(snaps) != len(params) {
 			return nil, fmt.Errorf("core: head %q snapshot has %d tensors, want %d", name, len(snaps), len(params))
 		}

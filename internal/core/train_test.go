@@ -60,7 +60,7 @@ func TestConcurrentBatchWorkersRace(t *testing.T) {
 	if _, err := p.Evaluate(samples); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.PredictAllSample(samples[0].GF); err != nil {
+	if _, err := p.PredictAll(samples[0].GF); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -87,7 +87,7 @@ func fdSetup(t *testing.T, cfg Config, samples []Sample) (*Predictor, []Sample) 
 // scaled by inv.
 func sinkLoss(p *Predictor, s Sample, inv float64) float64 {
 	c := p.embed(s.GF, nil)
-	pred, _ := p.heads[s.Platform].Forward(c.headIn, true, nil) // Dropout=0: rng unused
+	pred, _ := p.heads[s.Platform].ForwardScratch(c.headIn, true, nil, nil) // Dropout=0: rng unused
 	diff := pred.At(0, 0) - p.encodeTarget(s.LatencyMS, s.Platform)
 	w := 1.0
 	if p.cfg.RelativeLoss && !p.cfg.LogTarget {

@@ -394,14 +394,14 @@ func decodeLatencyRows(rows []Row) []LatencyRecord {
 	return out
 }
 
-// TrainingSet is a frozen view of one platform's accumulated latency
-// knowledge: the latency records plus every model they reference, decoded
-// from one consistent snapshot. Serving-path writers keep inserting while
-// a trainer consumes it; the set never changes underneath them.
+// TrainingSet is a frozen view of the accumulated latency knowledge of one
+// or more platforms: the latency records plus every model they reference,
+// each decoded once, from one consistent snapshot. Serving-path writers keep
+// inserting while a trainer consumes it; the set never changes underneath
+// them.
 type TrainingSet struct {
-	PlatformID uint64
-	Records    []LatencyRecord
-	models     map[uint64]*ModelRecord
+	Records []LatencyRecord
+	models  map[uint64]*ModelRecord
 }
 
 // Model resolves a latency record's model from the frozen set.
@@ -411,11 +411,12 @@ func (ts *TrainingSet) Model(id uint64) (*ModelRecord, bool) {
 }
 
 // TrainingSnapshot hands the predictor trainers a frozen latency set for
-// one platform (the paper's retraining loop reads the evolving database
-// while the query path keeps growing it; the snapshot keeps the two from
-// racing). Records are ordered by insertion (primary key), so repeated
-// snapshots of an unchanged database yield identical training sets.
-func (s *Store) TrainingSnapshot(platformID uint64) (*TrainingSet, error) {
+// the given platforms (the paper's retraining loop reads the evolving
+// database while the query path keeps growing it; the snapshot keeps the two
+// from racing). Records come platform by platform in argument order, each
+// platform's ordered by insertion (primary key), so repeated snapshots of an
+// unchanged database yield identical training sets.
+func (s *Store) TrainingSnapshot(platformIDs ...uint64) (*TrainingSet, error) {
 	snap := s.db.Snapshot()
 	lt, err := snap.Table(TableLatency)
 	if err != nil {
@@ -425,9 +426,12 @@ func (s *Store) TrainingSnapshot(platformID uint64) (*TrainingSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	ts := &TrainingSet{PlatformID: platformID, models: make(map[uint64]*ModelRecord)}
-	ts.Records = decodeLatencyRows(lt.FindMulti("platform_id", platformID))
-	sort.Slice(ts.Records, func(i, j int) bool { return ts.Records[i].ID < ts.Records[j].ID })
+	ts := &TrainingSet{models: make(map[uint64]*ModelRecord)}
+	for _, id := range platformIDs {
+		recs := decodeLatencyRows(lt.FindMulti("platform_id", id))
+		sort.Slice(recs, func(i, j int) bool { return recs[i].ID < recs[j].ID })
+		ts.Records = append(ts.Records, recs...)
+	}
 	for _, rec := range ts.Records {
 		if _, done := ts.models[rec.ModelID]; done {
 			continue
@@ -445,34 +449,40 @@ func (s *Store) TrainingSnapshot(platformID uint64) (*TrainingSet, error) {
 	return ts, nil
 }
 
-// RecordMeasurement persists a fresh measurement — the model row
-// (idempotent on graph hash) and its latency row — through the group
-// commit path. A concurrent writer winning the (model, platform, batch)
-// unique-key race is reconciled by adopting the stored record; the
-// returned latency is authoritative either way.
+// RecordMeasurement is Record without the duplicate report.
 func (s *Store) RecordMeasurement(g *onnx.Graph, platformID uint64, rec LatencyRecord) (modelID uint64, latencyMS float64, err error) {
+	modelID, latencyMS, _, err = s.Record(g, platformID, rec)
+	return modelID, latencyMS, err
+}
+
+// Record persists a fresh measurement — the model row (idempotent on graph
+// hash) and its latency row — through the group commit path. A concurrent
+// writer winning the (model, platform, batch) unique-key race is reconciled
+// by adopting the stored record and reported as dup; the returned latency
+// is authoritative either way.
+func (s *Store) Record(g *onnx.Graph, platformID uint64, rec LatencyRecord) (modelID uint64, latencyMS float64, dup bool, err error) {
 	mrec, err := s.InsertModel(g)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, false, err
 	}
 	rec.ModelID = mrec.ID
 	rec.PlatformID = platformID
 	_, err = s.InsertLatency(rec)
-	var dup *UniqueViolationError
-	if errors.As(err, &dup) {
+	var uv *UniqueViolationError
+	if errors.As(err, &uv) {
 		stored, ok, rerr := s.FindLatency(mrec.ID, platformID, rec.BatchSize)
 		if rerr != nil {
-			return mrec.ID, 0, rerr
+			return mrec.ID, 0, true, rerr
 		}
 		if ok {
-			return mrec.ID, stored.LatencyMS, nil
+			return mrec.ID, stored.LatencyMS, true, nil
 		}
-		return mrec.ID, rec.LatencyMS, nil
+		return mrec.ID, rec.LatencyMS, true, nil
 	}
 	if err != nil {
-		return mrec.ID, 0, err
+		return mrec.ID, 0, false, err
 	}
-	return mrec.ID, rec.LatencyMS, nil
+	return mrec.ID, rec.LatencyMS, false, nil
 }
 
 func decodeLatencyRow(row Row) *LatencyRecord {

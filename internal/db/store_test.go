@@ -49,6 +49,38 @@ func TestStoreModelRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRecordReportsDuplicate pins the store-and-reconcile step the query
+// path's DuplicateMeasurements counter rests on: a second measurement of a
+// stored (model, platform, batch) adopts the stored latency and reports dup;
+// a new batch size is a fresh row.
+func TestRecordReportsDuplicate(t *testing.T) {
+	s, _ := OpenStore("")
+	defer s.Close()
+	p, err := s.InsertPlatform("gpu-T4-trt7.1-fp32", "T4", "trt7.1", "fp32")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := models.BuildSqueezeNet(models.BaseSqueezeNet(1))
+	for i, c := range []struct {
+		batch   int
+		latency float64
+		wantLat float64
+		wantDup bool
+	}{
+		{1, 3.5, 3.5, false},
+		{1, 3.6, 3.5, true},
+		{8, 20, 20, false},
+	} {
+		mid, lat, dup, err := s.Record(g, p.ID, LatencyRecord{BatchSize: c.batch, LatencyMS: c.latency})
+		if err != nil || mid == 0 || lat != c.wantLat || dup != c.wantDup {
+			t.Fatalf("record %d: Record = (%d, %v, %v, %v), want latency %v dup %v", i, mid, lat, dup, err, c.wantLat, c.wantDup)
+		}
+	}
+	if nm, _, nl := s.Counts(); nm != 1 || nl != 2 {
+		t.Fatalf("Counts = %d models, %d latencies; want 1, 2", nm, nl)
+	}
+}
+
 func TestStorePlatformsAndLatencies(t *testing.T) {
 	s, _ := OpenStore("")
 	defer s.Close()

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"nnlqp/internal/core"
+	"nnlqp/internal/feats"
 	"nnlqp/internal/hwsim"
 	"nnlqp/internal/models"
 )
@@ -130,11 +131,12 @@ func RunTable6(o Options) (*Table6Result, error) {
 	// platforms. Multi-models run a full forward per (model, platform);
 	// the single model embeds once and runs all heads.
 	costModels := data[hwsim.EvalPlatforms[0]].test
+	one := make([]float64, 0, 1)
 	start := time.Now()
 	for _, s := range costModels {
 		for _, plat := range hwsim.EvalPlatforms {
 			// Each per-platform predictor only has its own head; route to it.
-			if _, err := multis[plat].PredictSample(s.GF, plat); err != nil {
+			if _, err := multis[plat].PredictSamplesInto(one, []*feats.GraphFeatures{s.GF}, plat); err != nil {
 				return nil, err
 			}
 		}
@@ -142,7 +144,7 @@ func RunTable6(o Options) (*Table6Result, error) {
 	res.MultiCostSec = time.Since(start).Seconds()
 	start = time.Now()
 	for _, s := range costModels {
-		if _, err := single.PredictAllSample(s.GF); err != nil {
+		if _, err := single.PredictAll(s.GF); err != nil {
 			return nil, err
 		}
 	}

@@ -74,7 +74,7 @@ type cachedFeats struct {
 // ExtractCached is Extract memoized on the graph's index: the first call per
 // (*onnx.Graph, elemSize) pays the full extraction, later calls return the
 // cached features in two atomic loads. The returned features are shared and
-// must be treated as read-only — clone (or CopyFrom) before normalizing.
+// must be treated as read-only — clone (or pack a copy) before normalizing.
 // Mutating a graph after extraction requires (*onnx.Graph).InvalidateMemo.
 func ExtractCached(g *onnx.Graph, elemSize int) (*GraphFeatures, error) {
 	ix, err := g.Index()
@@ -321,34 +321,6 @@ func (nz *Normalizer) ApplyStatic(static []float64) {
 	for j := range static {
 		static[j] = (static[j] - nz.StaticMean[j]) / nz.StaticStd[j]
 	}
-}
-
-// CopyFrom deep-copies src into gf, reusing gf's existing buffers wherever
-// capacity allows. In steady state (same-or-smaller graphs through a pooled
-// receiver) the call is allocation-free — the serving path's per-request
-// clone-then-normalize runs entirely on recycled memory.
-func (gf *GraphFeatures) CopyFrom(src *GraphFeatures) {
-	gf.NodeNames = append(gf.NodeNames[:0], src.NodeNames...)
-	n := len(src.X.Data)
-	if gf.X == nil {
-		gf.X = &tensor.Matrix{}
-	}
-	if cap(gf.X.Data) < n {
-		gf.X.Data = make([]float64, n)
-	}
-	gf.X.Rows, gf.X.Cols = src.X.Rows, src.X.Cols
-	gf.X.Data = gf.X.Data[:n]
-	copy(gf.X.Data, src.X.Data)
-	if cap(gf.Adj) < len(src.Adj) {
-		adj := make([][]int, len(src.Adj))
-		copy(adj, gf.Adj) // keep already-grown inner slices reusable
-		gf.Adj = adj
-	}
-	gf.Adj = gf.Adj[:len(src.Adj)]
-	for i, a := range src.Adj {
-		gf.Adj[i] = append(gf.Adj[i][:0], a...)
-	}
-	gf.Static = append(gf.Static[:0], src.Static...)
 }
 
 // Clone deep-copies the features (Apply mutates, so callers that reuse

@@ -44,57 +44,3 @@ func TestExtractCachedReturnsSharedInstance(t *testing.T) {
 		t.Fatal("recomputed features must equal the originals for an unmutated graph")
 	}
 }
-
-func TestCopyFromDeepCopiesAndReusesBuffers(t *testing.T) {
-	big := extract(t, models.BuildResNet(models.BaseResNet(1)))
-	small := extract(t, models.BuildSqueezeNet(models.BaseSqueezeNet(1)))
-
-	var gf GraphFeatures
-	gf.CopyFrom(big)
-	if !reflect.DeepEqual(gf.NodeNames, big.NodeNames) ||
-		!reflect.DeepEqual(gf.X.Data, big.X.Data) ||
-		!reflect.DeepEqual(gf.Adj, big.Adj) ||
-		!reflect.DeepEqual(gf.Static, big.Static) {
-		t.Fatal("CopyFrom must reproduce the source exactly")
-	}
-
-	// Deep copy: mutating the copy must not touch the source.
-	gf.X.Data[0] += 100
-	gf.Adj[0] = append(gf.Adj[0], 9999)
-	gf.Static[0] += 100
-	if gf.X.Data[0] == big.X.Data[0] || gf.Static[0] == big.Static[0] {
-		t.Fatal("copy aliases the source")
-	}
-	for _, v := range big.Adj[0] {
-		if v == 9999 {
-			t.Fatal("adjacency aliases the source")
-		}
-	}
-
-	// Shrink then regrow through the same receiver: contents stay exact and
-	// the large-capacity buffers are reused (the steady-state pool pattern).
-	bigCap := cap(gf.X.Data)
-	gf.CopyFrom(small)
-	if !reflect.DeepEqual(gf.X.Data, small.X.Data) || !reflect.DeepEqual(gf.Adj, small.Adj) {
-		t.Fatal("shrinking CopyFrom corrupted contents")
-	}
-	if cap(gf.X.Data) != bigCap {
-		t.Fatalf("shrinking CopyFrom reallocated X (cap %d -> %d)", bigCap, cap(gf.X.Data))
-	}
-	gf.CopyFrom(big)
-	if !reflect.DeepEqual(gf.X.Data, big.X.Data) ||
-		!reflect.DeepEqual(gf.Adj, big.Adj) ||
-		!reflect.DeepEqual(gf.Static, big.Static) {
-		t.Fatal("regrowing CopyFrom corrupted contents")
-	}
-}
-
-func TestCopyFromSteadyStateAllocFree(t *testing.T) {
-	src := extract(t, models.BuildSqueezeNet(models.BaseSqueezeNet(1)))
-	var gf GraphFeatures
-	gf.CopyFrom(src)
-	avg := testing.AllocsPerRun(50, func() { gf.CopyFrom(src) })
-	if avg > 0 {
-		t.Fatalf("warmed CopyFrom allocates %.1f objects/op, want 0", avg)
-	}
-}

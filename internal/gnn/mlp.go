@@ -96,15 +96,10 @@ type headCache struct {
 	dropMask   []float64 // nil in eval mode
 }
 
-// Forward runs the head on a 1×in (or n×in) embedding. In training mode
-// dropout is sampled from rng with inverted scaling; in eval mode dropout
-// is the identity.
-func (h *Head) Forward(x *tensor.Matrix, training bool, rng *rand.Rand) (*tensor.Matrix, *headCache) {
-	return h.ForwardScratch(x, training, rng, nil)
-}
-
-// ForwardScratch is Forward with matrix intermediates drawn from sc (nil
-// allocates); the returned cache, for BackwardSink, references scratch
+// ForwardScratch runs the head on a 1×in (or n×in) embedding with matrix
+// intermediates drawn from sc (nil allocates). In training mode dropout is
+// sampled from rng with inverted scaling; in eval mode dropout is the
+// identity. The returned cache, for BackwardSink, references scratch
 // matrices.
 func (h *Head) ForwardScratch(x *tensor.Matrix, training bool, rng *rand.Rand, sc *tensor.Scratch) (*tensor.Matrix, *headCache) {
 	c := &headCache{}

@@ -1,6 +1,10 @@
 package gnn
 
-import "nnlqp/internal/tensor"
+import (
+	"math/rand"
+
+	"nnlqp/internal/tensor"
+)
 
 // The unfused, allocating entry points: each runs the training-path pass
 // (ForwardScratch, BackwardSink, SumPoolScratch, ...) with no scratch and no
@@ -61,6 +65,11 @@ func (l *Linear) Forward(x *tensor.Matrix) (*tensor.Matrix, *linearCache) {
 // Backward accumulates dW, dB into Param.Grad and returns dX.
 func (l *Linear) Backward(c *linearCache, dY *tensor.Matrix) *tensor.Matrix {
 	return l.BackwardSink(c, dY, nil, nil)
+}
+
+// Forward runs the head with no scratch.
+func (h *Head) Forward(x *tensor.Matrix, training bool, rng *rand.Rand) (*tensor.Matrix, *headCache) {
+	return h.ForwardScratch(x, training, rng, nil)
 }
 
 // Backward accumulates gradients into Param.Grad and returns dX.

@@ -10,7 +10,9 @@ import (
 	"time"
 
 	"nnlqp/internal/db"
+	"nnlqp/internal/graphhash"
 	"nnlqp/internal/hwsim"
+	"nnlqp/internal/lru"
 	"nnlqp/internal/models"
 	"nnlqp/internal/onnx"
 )
@@ -256,6 +258,59 @@ func TestQueryManyTotals(t *testing.T) {
 	_, _, lc := s.store.Counts()
 	if lc != 2 {
 		t.Fatalf("latency records = %d, want 2", lc)
+	}
+}
+
+// TestQueryManyMeasuresEachKeyOnce is the property behind TestQueryManyTotals:
+// however duplicates interleave, every (graph, platform, batch) key reaches
+// the farm exactly once. 64 concurrent QueryMany calls run over the same
+// graphs behind an L1 of one entry per shard, so positive entries are evicted
+// while duplicates are still arriving, and late callers that find the flight
+// table empty must find the stored row on their re-check instead of
+// measuring again.
+func TestQueryManyMeasuresEachKeyOnce(t *testing.T) {
+	farm := &fakeFarm{devices: 4}
+	s := newSystemWith(t, farm)
+	s.ConfigureCache(lru.Shards, 0)
+	rng := rand.New(rand.NewSource(11))
+	keys := map[graphhash.Key]bool{}
+	var graphs []*onnx.Graph
+	for len(graphs) < 24 {
+		g, err := models.Variant(models.FamilySqueezeNet, rng, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, err := graphhash.GraphKey(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !keys[key] {
+			keys[key] = true
+			graphs = append(graphs, g)
+		}
+	}
+	const callers = 64
+	var wg sync.WaitGroup
+	errs := make([]error, callers)
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, _, errs[i] = s.QueryMany(context.Background(), graphs, hwsim.DatasetPlatform)
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("caller %d: %v", i, err)
+		}
+	}
+	st := checkInvariant(t, s)
+	if calls := farm.Calls(); calls != len(keys) {
+		t.Fatalf("farm measured %d times for %d distinct keys (stats %+v)", calls, len(keys), st)
+	}
+	if st.DuplicateMeasurements != 0 || st.Misses != len(keys) || st.Queries != callers*len(graphs) {
+		t.Fatalf("stats %+v, want %d misses of %d queries and no duplicate measurements", st, len(keys), callers*len(graphs))
 	}
 }
 

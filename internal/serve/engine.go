@@ -99,12 +99,6 @@ func (e *Engine) Snapshot() (*core.Predictor, uint64) {
 	return st.pred, st.pred.Generation()
 }
 
-// Generation returns the live predictor's generation (0 when none).
-func (e *Engine) Generation() uint64 {
-	_, gen := e.Snapshot()
-	return gen
-}
-
 // Predict satisfies query.Fallback: a degraded /query answers from the same
 // predictor state /predict serves.
 func (e *Engine) Predict(g *onnx.Graph, platform string) (float64, error) {

@@ -9,6 +9,7 @@ import (
 
 	"nnlqp/internal/core"
 	"nnlqp/internal/db"
+	"nnlqp/internal/feats"
 )
 
 // TrainStore is the durable-tier surface the retrainer needs — snapshots and
@@ -22,7 +23,7 @@ type TrainStore interface {
 	LatencyCount(platformID uint64) (int, error)
 	RecentLatencies(platformID uint64, n int) ([]db.LatencyRecord, error)
 	GetModel(id uint64) (*db.ModelRecord, bool, error)
-	TrainingSnapshot(platformID uint64) (*db.TrainingSet, error)
+	TrainingSnapshot(platformIDs ...uint64) (*db.TrainingSet, error)
 }
 
 // RetrainConfig controls the online retraining loop.
@@ -358,27 +359,54 @@ func (r *Retrainer) driftProbe(plats []platformRecords) (float64, error) {
 	return m, nil
 }
 
-// buildSamples decodes every platform's TrainingSnapshot into one sample
-// set, ordered by (platform, record id) so the holdout split is stable.
-func (r *Retrainer) buildSamples(plats []platformRecords) ([]core.Sample, error) {
-	sorted := append([]platformRecords(nil), plats...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].rec.ID < sorted[j].rec.ID })
-	var samples []core.Sample
-	for _, p := range sorted {
-		ts, err := r.store.TrainingSnapshot(p.rec.ID)
+// TrainingSamples builds one training set from the store: every latency
+// record of the named platforms, platform by platform in the order given and
+// by insertion within each, from one snapshot, so a caller's holdout split
+// is stable. Each model's graph is decoded and its features extracted once,
+// shared by its samples on every platform (training clones features before
+// normalizing them). A platform unknown to the store, or without latency
+// records, is an error.
+func TrainingSamples(store TrainStore, platforms []string) ([]core.Sample, error) {
+	names := make(map[uint64]string, len(platforms))
+	ids := make([]uint64, len(platforms))
+	for i, name := range platforms {
+		p, ok, err := store.FindPlatformByName(name)
 		if err != nil {
 			return nil, err
 		}
-		for _, rec := range ts.Records {
-			mrec, ok := ts.Model(rec.ModelID)
-			if !ok {
-				return nil, fmt.Errorf("serve: latency record %d references missing model %d", rec.ID, rec.ModelID)
-			}
-			s, err := core.NewSample(mrec.Graph, rec.LatencyMS, p.rec.Name)
-			if err != nil {
-				return nil, err
-			}
-			samples = append(samples, s)
+		if !ok {
+			return nil, fmt.Errorf("serve: platform %s has no records in the database", name)
+		}
+		names[p.ID], ids[i] = name, p.ID
+	}
+	ts, err := store.TrainingSnapshot(ids...)
+	if err != nil {
+		return nil, err
+	}
+	gfs := make(map[uint64]*feats.GraphFeatures)
+	counts := make(map[uint64]int, len(ids))
+	samples := make([]core.Sample, 0, len(ts.Records))
+	for _, rec := range ts.Records {
+		counts[rec.PlatformID]++
+		plat := names[rec.PlatformID]
+		if gf, ok := gfs[rec.ModelID]; ok {
+			samples = append(samples, core.Sample{GF: gf, LatencyMS: rec.LatencyMS, Platform: plat})
+			continue
+		}
+		mrec, ok := ts.Model(rec.ModelID)
+		if !ok {
+			return nil, fmt.Errorf("serve: latency record %d references missing model %d", rec.ID, rec.ModelID)
+		}
+		s, err := core.NewSample(mrec.Graph, rec.LatencyMS, plat)
+		if err != nil {
+			return nil, err
+		}
+		gfs[rec.ModelID] = s.GF
+		samples = append(samples, s)
+	}
+	for i, id := range ids {
+		if counts[id] == 0 {
+			return nil, fmt.Errorf("serve: platform %s has no latency records in the database", platforms[i])
 		}
 	}
 	return samples, nil
@@ -469,7 +497,15 @@ func (r *Retrainer) CheckOnce() (bool, error) {
 // fresh candidate → validate on the holdout → swap only on improvement.
 func (r *Retrainer) trainValidateSwap(plats []platformRecords, trigger string, runSeed int64) (bool, error) {
 	start := time.Now()
-	samples, err := r.buildSamples(plats)
+	// Platform row-id order keeps the holdout split stable as platforms
+	// appear.
+	sorted := append([]platformRecords(nil), plats...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].rec.ID < sorted[j].rec.ID })
+	names := make([]string, len(sorted))
+	for i, p := range sorted {
+		names[i] = p.rec.Name
+	}
+	samples, err := TrainingSamples(r.store, names)
 	if err != nil {
 		return false, err
 	}

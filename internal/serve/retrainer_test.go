@@ -49,6 +49,12 @@ func seedMeasurements(t testing.TB, store *db.Store, platform string, startBatch
 	return prec.ID
 }
 
+// Generation returns the live predictor's generation (0 when none).
+func (e *Engine) Generation() uint64 {
+	_, gen := e.Snapshot()
+	return gen
+}
+
 func fastRetrainConfig() RetrainConfig {
 	return RetrainConfig{
 		Interval:      10 * time.Millisecond,

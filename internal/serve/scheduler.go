@@ -195,7 +195,12 @@ type candidate struct {
 func (a *Scheduler) score(g *onnx.Graph) float64 {
 	var s float64
 	if pred := a.engine.Current(); pred != nil {
-		if all, err := pred.PredictAll(g); err == nil && len(all) > 1 {
+		var all map[string]float64
+		gf, err := pred.Extract(g)
+		if err == nil {
+			all, err = pred.PredictAll(gf)
+		}
+		if err == nil && len(all) > 1 {
 			var sum float64
 			for _, v := range all {
 				sum += v

@@ -253,11 +253,14 @@ type StatsResponse struct {
 	// Queries = Hits + Misses + Coalesced + Failures. StoreFailures counts
 	// measured answers whose durable write failed (served anyway, reported
 	// here) — a storage-health signal, not a query-outcome bucket.
-	Failures      int     `json:"failures"`
-	StoreFailures int     `json:"store_failures"`
-	InFlight      int     `json:"in_flight"`
-	HitRatio      float64 `json:"hit_ratio"`
-	DeviceWaitSec float64 `json:"device_wait_seconds"`
+	// DuplicateMeasurements counts measurements whose row another measurement
+	// of the same graph had already stored (0 while coalescing holds).
+	Failures              int     `json:"failures"`
+	StoreFailures         int     `json:"store_failures"`
+	DuplicateMeasurements int     `json:"duplicate_measurements"`
+	InFlight              int     `json:"in_flight"`
+	HitRatio              float64 `json:"hit_ratio"`
+	DeviceWaitSec         float64 `json:"device_wait_seconds"`
 	// Fault-tolerance counters: measurement retries, speculative hedges
 	// (and how many hedges won), device quarantine events, devices
 	// currently benched, and answers served degraded from the predictor.
@@ -611,8 +614,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, StatsResponse{
 		Queries: st.Queries, Hits: st.Hits, Misses: st.Misses,
 		Coalesced: st.Coalesced, Failures: st.Failures,
-		StoreFailures: st.StoreFailures,
-		InFlight:      st.InFlight, HitRatio: st.HitRatio(),
+		StoreFailures:         st.StoreFailures,
+		DuplicateMeasurements: st.DuplicateMeasurements,
+		InFlight:              st.InFlight, HitRatio: st.HitRatio(),
 		DeviceWaitSec: st.DeviceWaitSec,
 		Retries:       st.Retries, Hedges: st.Hedges, HedgeWins: st.HedgeWins,
 		Quarantines: st.Quarantines, QuarantinedNow: st.QuarantinedNow,

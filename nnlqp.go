@@ -234,7 +234,11 @@ func (c *Client) PredictAll(m *Model) (map[string]float64, error) {
 	if pred == nil {
 		return nil, fmt.Errorf("nnlqp: no trained predictor; call TrainPredictor or LoadPredictor")
 	}
-	return pred.PredictAll(m.g)
+	gf, err := pred.Extract(m.g)
+	if err != nil {
+		return nil, err
+	}
+	return pred.PredictAll(gf)
 }
 
 // Platforms lists every platform the system can measure on.

@@ -1,10 +1,14 @@
-// Command deadcode lists the functions under internal/ that no binary of the
-// module links, and fails unless that list equals allow.txt.
+// Command deadcode lists the functions of the root package and under
+// internal/ that no binary of the module links, and fails unless that list
+// equals allow.txt.
 //
 // It builds every main package (./cmd/*, ./examples/*, ./benchmark) with
 // inlining off, so every call leaves a symbol, and compares the text symbols
 // `go tool nm` reads from the binaries with the non-test function
-// declarations go/parser finds under internal/. The exit status is non-zero
+// declarations go/parser finds in the root package and under internal/.
+// Keys name an internal declaration by its package path below internal/
+// (db.Store.Checkpoint) and a root one by the module path
+// (nnlqp.Client.Checkpoint). The exit status is non-zero
 // when an unlinked function is missing from allow.txt, or when an entry there
 // is linked or no longer declared. Run it from the module root:
 //
@@ -32,7 +36,7 @@ var roots = []string{"./cmd/...", "./examples/...", "./benchmark"}
 
 const allowFile = "tools/deadcode/allow.txt"
 
-// decl is one non-test function declaration under internal/.
+// decl is one non-test function declaration.
 type decl struct {
 	pos   string // file:line
 	lines int    // the func span, doc comment excluded
@@ -46,15 +50,16 @@ func main() {
 }
 
 func run() error {
-	mod, err := exec.Command("go", "list", "-m").Output()
+	out, err := exec.Command("go", "list", "-m").Output()
 	if err != nil {
 		return fmt.Errorf("go list -m: %w", err)
 	}
-	decls, err := declarations("internal")
+	mod := strings.TrimSpace(string(out))
+	decls, err := declarations(mod)
 	if err != nil {
 		return err
 	}
-	linked, err := linkedKeys(strings.TrimSpace(string(mod)) + "/internal/")
+	linked, err := linkedKeys(mod)
 	if err != nil {
 		return err
 	}
@@ -92,23 +97,23 @@ func run() error {
 }
 
 // declarations maps the key (see declKey) of every non-test function
-// declared under root to its position and length, skipping files whose build
-// constraints exclude them on this platform.
-func declarations(root string) (map[string]decl, error) {
+// declared in the root package (module path mod) and under internal/ to its
+// position and length, skipping files whose build constraints exclude them
+// on this platform.
+func declarations(mod string) (map[string]decl, error) {
 	out := map[string]decl{}
 	fset := token.NewFileSet()
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return err
+	add := func(path, pkg string) error {
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
 		}
-		if ok, err := build.Default.MatchFile(filepath.Dir(path), d.Name()); err != nil || !ok {
+		if ok, err := build.Default.MatchFile(filepath.Dir(path), filepath.Base(path)); err != nil || !ok {
 			return err
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		pkg := filepath.ToSlash(strings.TrimPrefix(filepath.Dir(path), root+string(filepath.Separator)))
 		for _, x := range f.Decls {
 			if fd, ok := x.(*ast.FuncDecl); ok && (fd.Recv != nil || fd.Name.Name != "init") {
 				start, end := fset.Position(fd.Pos()).Line, fset.Position(fd.End()).Line
@@ -116,13 +121,28 @@ func declarations(root string) (map[string]decl, error) {
 			}
 		}
 		return nil
+	}
+	rootFiles, err := filepath.Glob("*.go")
+	if err != nil {
+		return nil, err
+	}
+	for _, path := range rootFiles {
+		if err := add(path, mod); err != nil {
+			return nil, err
+		}
+	}
+	err = filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		return add(path, filepath.ToSlash(strings.TrimPrefix(filepath.Dir(path), "internal"+string(filepath.Separator))))
 	})
 	return out, err
 }
 
 // declKey names a declaration pkg.Func or pkg.Recv.Method, where pkg is the
-// path below internal/ and Recv the receiver's type name without a pointer
-// or type parameters.
+// path below internal/ (the module path for the root package) and Recv the
+// receiver's type name without a pointer or type parameters.
 func declKey(pkg string, fd *ast.FuncDecl) string {
 	if fd.Recv == nil || len(fd.Recv.List) == 0 {
 		return pkg + "." + fd.Name.Name
@@ -147,9 +167,9 @@ func declKey(pkg string, fd *ast.FuncDecl) string {
 }
 
 // linkedKeys builds every root into one temporary directory in one go build
-// call and returns the declaration keys of the text symbols under prefix
-// that any binary holds.
-func linkedKeys(prefix string) (map[string]bool, error) {
+// call and returns the declaration keys of the module's text symbols (see
+// moduleKey) that any binary holds.
+func linkedKeys(mod string) (map[string]bool, error) {
 	dir, err := os.MkdirTemp("", "deadcode")
 	if err != nil {
 		return nil, err
@@ -171,8 +191,10 @@ func linkedKeys(prefix string) (map[string]bool, error) {
 		}
 		sc := bufio.NewScanner(bytes.NewReader(out))
 		for sc.Scan() {
-			if name, ok := textSymbol(sc.Text()); ok && strings.HasPrefix(name, prefix) {
-				linked[symbolKey(strings.TrimPrefix(name, prefix))] = true
+			if name, ok := textSymbol(sc.Text()); ok {
+				if k, ok := moduleKey(mod, name); ok {
+					linked[k] = true
+				}
 			}
 		}
 	}
@@ -192,10 +214,23 @@ func textSymbol(line string) (string, bool) {
 	return strings.TrimSuffix(f[2], ".abi0"), true
 }
 
+// moduleKey maps a text symbol of module mod to the key of its declaration:
+// below mod/internal/ the symbol's package is named by its path there, in the
+// root package by mod itself. Symbols of other packages report false.
+func moduleKey(mod, sym string) (string, bool) {
+	if rest, ok := strings.CutPrefix(sym, mod+"/internal/"); ok {
+		return symbolKey(rest), true
+	}
+	if strings.HasPrefix(sym, mod+".") {
+		return symbolKey(sym), true
+	}
+	return "", false
+}
+
 var closureSuffix = regexp.MustCompile(`(\.(func|deferwrap|gowrap)?[0-9]+)+$`)
 
-// symbolKey maps a symbol name below internal/ to the key of the declaration
-// it belongs to: the balanced [...] instantiation is dropped, a closure or
+// symbolKey maps a symbol name, below internal/ or in the root package, to
+// the key of the declaration it belongs to: the balanced [...] instantiation is dropped, a closure or
 // method-value wrapper counts for its parent, and (*T).M counts for T.M.
 func symbolKey(sym string) string {
 	var b strings.Builder

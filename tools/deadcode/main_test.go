@@ -56,6 +56,28 @@ func TestSymbolKey(t *testing.T) {
 	}
 }
 
+// TestModuleKey: internal symbols are keyed by their path below internal/,
+// root-package ones by the module path, and other packages are skipped.
+func TestModuleKey(t *testing.T) {
+	for _, tc := range []struct {
+		sym, want string
+		ok        bool
+	}{
+		{"nnlqp.(*Client).Checkpoint", "nnlqp.Client.Checkpoint", true},
+		{"nnlqp.(*Client).QueryDetailedContext.func1", "nnlqp.Client.QueryDetailedContext", true},
+		{"nnlqp.New", "nnlqp.New", true},
+		{"nnlqp/internal/db.writeSnapshotFile.func2.1", "db.writeSnapshotFile", true},
+		{"nnlqpx.Helper", "", false},
+		{"main.main", "", false},
+		{"runtime.memmove", "", false},
+	} {
+		got, ok := moduleKey("nnlqp", tc.sym)
+		if got != tc.want || ok != tc.ok {
+			t.Errorf("moduleKey(%q) = (%q, %v), want (%q, %v)", tc.sym, got, ok, tc.want, tc.ok)
+		}
+	}
+}
+
 // TestDeclarationMatchesSymbol pins that every declaration form gets the key
 // its linked symbol maps to, so it is never reported unlinked.
 func TestDeclarationMatchesSymbol(t *testing.T) {

@@ -140,21 +140,6 @@ func (c *Client) TrainPredictor(opts TrainOptions) error {
 	return c.fitPredictor(opts, samples)
 }
 
-// TrainPredictorFromDB trains the predictor from the latency knowledge the
-// evolving database has already accumulated — the paper's retraining loop
-// — instead of measuring a fresh corpus. Each platform's records are read
-// through Store.TrainingSnapshot, a frozen consistent view, so retraining
-// can run while the serving path keeps inserting measurements. Platforms
-// with no accumulated records are an error.
-func (c *Client) TrainPredictorFromDB(opts TrainOptions) error {
-	opts = opts.withDefaults()
-	samples, err := c.dbSamples(opts)
-	if err != nil {
-		return err
-	}
-	return c.fitPredictor(opts, samples)
-}
-
 // TrainReport summarizes a from-database training run: corpus and holdout
 // sizes plus the trained predictor's accuracy on the held-out split.
 type TrainReport struct {
@@ -165,16 +150,21 @@ type TrainReport struct {
 	Took         time.Duration
 }
 
-// TrainPredictorFromDBReport is TrainPredictorFromDB with validation: the
-// database corpus is split by the same deterministic holdout rule the
-// server's online retrainer uses (core.SplitHoldout at the retrainer's
-// default fraction), the predictor is fitted on the training split only,
-// and the report carries its MAPE / Acc(10%) on the unseen holdout — so an
-// offline `nnlqp-train -from-db` run and an online retrain of the same
-// snapshot validate against the same records.
+// TrainPredictorFromDBReport trains the predictor from the latency knowledge
+// the evolving database has already accumulated — the paper's retraining
+// loop — instead of measuring a fresh corpus. The platforms' records are read
+// through one Store.TrainingSnapshot, a frozen consistent view, so retraining
+// can run while the serving path keeps inserting measurements; platforms
+// with no accumulated records are an error. The corpus is split by the same
+// deterministic holdout rule the server's online retrainer uses
+// (core.SplitHoldout at the retrainer's default fraction), the predictor is
+// fitted on the training split only, and the report carries its MAPE /
+// Acc(10%) on the unseen holdout — so an offline `nnlqp-train -from-db` run
+// and an online retrain of the same snapshot validate against the same
+// records.
 func (c *Client) TrainPredictorFromDBReport(opts TrainOptions) (*TrainReport, error) {
 	opts = opts.withDefaults()
-	samples, err := c.dbSamples(opts)
+	samples, err := serve.TrainingSamples(c.store, opts.Platforms)
 	if err != nil {
 		return nil, err
 	}
@@ -195,40 +185,6 @@ func (c *Client) TrainPredictorFromDBReport(opts TrainOptions) (*TrainReport, er
 		rep.HoldoutMAPE, rep.HoldoutAcc10 = m.MAPE, m.Acc10
 	}
 	return rep, nil
-}
-
-// dbSamples decodes every configured platform's TrainingSnapshot into one
-// sample set (insertion order per platform, so splits are reproducible).
-func (c *Client) dbSamples(opts TrainOptions) ([]core.Sample, error) {
-	var samples []core.Sample
-	for _, plat := range opts.Platforms {
-		prec, ok, err := c.store.FindPlatformByName(plat)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return nil, fmt.Errorf("nnlqp: platform %s has no records in the database", plat)
-		}
-		ts, err := c.store.TrainingSnapshot(prec.ID)
-		if err != nil {
-			return nil, err
-		}
-		if len(ts.Records) == 0 {
-			return nil, fmt.Errorf("nnlqp: platform %s has no latency records in the database", plat)
-		}
-		for _, rec := range ts.Records {
-			mrec, ok := ts.Model(rec.ModelID)
-			if !ok {
-				return nil, fmt.Errorf("nnlqp: latency record %d references missing model %d", rec.ID, rec.ModelID)
-			}
-			s, err := core.NewSample(mrec.Graph, rec.LatencyMS, plat)
-			if err != nil {
-				return nil, err
-			}
-			samples = append(samples, s)
-		}
-	}
-	return samples, nil
 }
 
 // fitPredictor trains a fresh predictor on samples and installs it.
