@@ -26,15 +26,17 @@ race:
 chaos:
 	$(GO) test -race -v -run TestChaos ./internal/chaos -args -chaos.seed=20260805
 
-# Native fuzzing, 20 s per target. The request path's parsers: DecodeBinary
-# (no panic, bounded allocation) and, whenever the result validates, the
-# indexed graph hash against the frozen reference and across a round trip;
-# then the same for JSON graphs. The packed matmul kernel: bit for bit against
-# the naive reference. The seed corpora already run as unit tests
+# Native fuzzing, 20 s per target. The request path's parsers: the canonical
+# body scanner (wire.ScanRequest), against encoding/json on every body it
+# accepts; DecodeBinary (no panic, bounded allocation) and, whenever the result
+# validates, the indexed graph hash against the frozen reference and across a
+# round trip; then the same for JSON graphs. The packed matmul kernel: bit for
+# bit against the naive reference. The seed corpora already run as unit tests
 # in `go test ./...`. Minimization is capped at 1 s because the default 60 s
 # per coverage-expanding input would spend a 20 s budget shrinking one 10 KB
 # zoo body.
 fuzz:
+	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzScanRequest$$' -fuzztime 20s -fuzzminimizetime 1s
 	$(GO) test ./internal/graphhash -run '^$$' -fuzz '^FuzzDecodeBinary$$' -fuzztime 20s -fuzzminimizetime 1s
 	$(GO) test ./internal/graphhash -run '^$$' -fuzz '^FuzzGraphKeyJSON$$' -fuzztime 20s -fuzzminimizetime 1s
 	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzPackedKernel$$' -fuzztime 20s -fuzzminimizetime 1s
@@ -136,12 +138,13 @@ bench-kernels:
 	$(GO) test ./internal/db -run '^$$' -bench 'BenchmarkPointRead' -benchmem -benchtime 1s
 
 # Profile the serving hot paths: the database hit as the daemon's handler runs
-# it (BenchmarkServeQueryHit: JSON, base64, onnx decode + index, graph hash, L1
-# probe), the pinned-seed planned-predict loop on a warm plan cache, and the
-# fresh-graph predict that predict_sweep requests take (BenchmarkPredictFresh:
-# extraction, hash, plan build, forward; no plan-cache hits). CPU and
-# allocation pprof captures, then the top-10 cumulative frames of each. The
-# indexed graph form (DESIGN.md §16) and the kernel/fusion/plan work (§15) were
+# it (BenchmarkServeQueryHit: the one-pass body scan, base64 into a pooled
+# buffer, onnx decode + index, graph hash, L1 probe, response encode), the
+# pinned-seed planned-predict loop on a warm plan cache, and the fresh-graph
+# predict that predict_sweep requests take (BenchmarkPredictFresh: extraction,
+# hash, plan build, forward; no plan-cache hits). CPU and allocation pprof
+# captures, then the top-10 cumulative frames of each. The body scan (DESIGN.md
+# §19), the indexed graph form (§16) and the kernel/fusion/plan work (§15) were
 # steered by exactly these views; rerun after touching either path to see
 # where time moved.
 profile:

@@ -1,7 +1,13 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/base64"
+	"encoding/json"
 	"fmt"
+	"hash/fnv"
+	"io"
+	"strings"
 	"testing"
 )
 
@@ -183,6 +189,55 @@ func TestRequestKeyStable(t *testing.T) {
 	} {
 		if other == base {
 			t.Fatal("distinct request collided with base key")
+		}
+	}
+}
+
+// fnvRequestKey is requestKey as hash/fnv computes it: a router of either
+// form sends a given request to the same replica.
+func fnvRequestKey(model, platform string, batch int) uint64 {
+	h := fnv.New64a()
+	io.WriteString(h, model)
+	h.Write([]byte{0})
+	io.WriteString(h, platform)
+	fmt.Fprintf(h, "\x00%d", batch)
+	return h.Sum64()
+}
+
+// TestBodyKeyMatchesDecodedFields: the key taken from a scanned body equals
+// requestKey of the fields the replica's encoding/json decoder reads from it,
+// for canonical bodies and for those that fall back, and both forms equal the
+// hash/fnv definition, so affinity does not move.
+func TestBodyKeyMatchesDecodedFields(t *testing.T) {
+	var bodies [][]byte
+	for i, platform := range []string{"cpu-openvino-fp32", "gpu-tensorrt-fp16", "p"} {
+		for batch := -1; batch <= 8; batch += 3 {
+			model := base64.StdEncoding.EncodeToString([]byte(strings.Repeat("NLQP", 40*i+batch+2)))
+			body, err := json.Marshal(proxyRequest{Model: model, Platform: platform, BatchSize: batch})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bodies = append(bodies, body)
+		}
+	}
+	bodies = append(bodies,
+		[]byte(`{"platform": "p", "model": "bW9kZWw=", "batch_size": 4} trailing`),
+		[]byte(`{"model":"bW9k\u005aWw=","platform":"p"}`), // escape: falls back
+		[]byte(`{"Model":"bW9kZWw=","platform":"p"}`),      // case: falls back
+		[]byte(`not json`),
+	)
+	for _, body := range bodies {
+		var req proxyRequest
+		_ = json.NewDecoder(bytes.NewReader(body)).Decode(&req)
+		want := requestKey(req.Model, req.Platform, req.BatchSize)
+		if got := bodyKey(body); got != want {
+			t.Errorf("bodyKey(%.60q) = %x, requestKey of the decoded fields = %x", body, got, want)
+		}
+		if ref := fnvRequestKey(req.Model, req.Platform, req.BatchSize); want != ref {
+			t.Errorf("requestKey(%.40q, %q, %d) = %x, hash/fnv gives %x", req.Model, req.Platform, req.BatchSize, want, ref)
+		}
+		if b := requestKey([]byte(req.Model), req.Platform, req.BatchSize); b != want {
+			t.Errorf("requestKey over bytes = %x, over the string = %x", b, want)
 		}
 	}
 }

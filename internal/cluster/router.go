@@ -18,17 +18,18 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"nnlqp/internal/breaker"
+	"nnlqp/internal/wire"
 )
 
 // Config tunes the router. Zero values select the defaults.
@@ -163,18 +164,41 @@ func baseURL(addr string) string {
 // requestKey derives the routing key from the request fields the cache keys
 // on: FNV-64a over (model base64, platform, batch). Byte-identical models
 // hash identically, so under cache-affinity every repeat of a graph lands on
-// the replica whose L1 already holds it.
-func requestKey(model, platform string, batch int) uint64 {
-	h := fnv.New64a()
-	io.WriteString(h, model)
-	h.Write([]byte{0})
-	io.WriteString(h, platform)
-	fmt.Fprintf(h, "\x00%d", batch)
-	return h.Sum64()
+// the replica whose L1 already holds it. The model is hashed where it lies,
+// as the body's bytes or as a decoded string; both give the same key.
+func requestKey[M string | []byte](model M, platform string, batch int) uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(model); i++ {
+		h = (h ^ uint64(model[i])) * prime
+	}
+	h *= prime // the 0 separator: h ^ 0 == h
+	for i := 0; i < len(platform); i++ {
+		h = (h ^ uint64(platform[i])) * prime
+	}
+	h *= prime
+	var num [20]byte
+	for _, c := range strconv.AppendInt(num[:0], int64(batch), 10) {
+		h = (h ^ uint64(c)) * prime
+	}
+	return h
+}
+
+// bodyKey is requestKey of a /query or /predict body. The canonical body is
+// scanned in place; any other goes through encoding/json, and a malformed
+// one routes anywhere (the replica 400s it).
+func bodyKey(body []byte) uint64 {
+	if model, platform, batch, ok := wire.ScanRequest(body); ok {
+		return requestKey(model, platform, batch)
+	}
+	var req proxyRequest
+	_ = json.Unmarshal(body, &req)
+	return requestKey(req.Model, req.Platform, req.BatchSize)
 }
 
 // proxyRequest is the subset of the replica request body the router needs
-// for key derivation; the body bytes are forwarded untouched.
+// for key derivation when the body is not canonical; the body bytes are
+// forwarded untouched.
 type proxyRequest struct {
 	Model     string `json:"model"`
 	Platform  string `json:"platform"`
@@ -315,9 +339,7 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, status, "read body: "+err.Error())
 		return
 	}
-	var req proxyRequest
-	_ = json.Unmarshal(body, &req) // malformed bodies route anywhere; the replica 400s them
-	key := requestKey(req.Model, req.Platform, req.BatchSize)
+	key := bodyKey(body)
 
 	fkey := flightKey(r.URL.Path, r.Header, body)
 	rt.flightMu.Lock()

@@ -129,9 +129,10 @@ func (h *admitHeap) Pop() any {
 
 // Admission is the token-bucket + urgency-queue controller.
 type Admission struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	cfg  AdmissionConfig
+	mu    sync.Mutex
+	cond  *sync.Cond
+	cfg   AdmissionConfig
+	clock clock
 
 	tokens float64
 	last   time.Time
@@ -148,11 +149,16 @@ type Admission struct {
 // NewAdmission builds a controller; the bucket starts full (cold-start
 // traffic up to Burst is admitted immediately).
 func NewAdmission(cfg AdmissionConfig) *Admission {
+	return newAdmission(cfg, wallClock{})
+}
+
+func newAdmission(cfg AdmissionConfig, clk clock) *Admission {
 	cfg = cfg.withDefaults()
 	a := &Admission{
 		cfg:     cfg,
+		clock:   clk,
 		tokens:  cfg.Burst,
-		last:    time.Now(),
+		last:    clk.Now(),
 		byClass: make(map[slo.Class]*AdmitClassStats),
 	}
 	a.cond = sync.NewCond(&a.mu)
@@ -203,8 +209,7 @@ func (a *Admission) classStatsLocked(c slo.Class) *AdmitClassStats {
 func (a *Admission) Admit(ctx context.Context, class slo.Class) error {
 	a.mu.Lock()
 	a.requests++
-	now := time.Now()
-	a.refillLocked(now)
+	a.refillLocked(a.clock.Now())
 
 	// Fast path: a token is available and nobody more deserving is queued.
 	// (Any queued waiter has priority over a new arrival — even a less
@@ -250,7 +255,7 @@ func (a *Admission) Admit(ctx context.Context, class slo.Class) error {
 			a.mu.Unlock()
 			return serr
 		}
-		a.refillLocked(time.Now())
+		a.refillLocked(a.clock.Now())
 		if w.index == 0 && a.tokens >= 1 {
 			a.tokens--
 			heap.Pop(&a.queue)
@@ -269,7 +274,7 @@ func (a *Admission) Admit(ctx context.Context, class slo.Class) error {
 			if wait < time.Millisecond {
 				wait = time.Millisecond
 			}
-			t := time.AfterFunc(wait, func() {
+			t := a.clock.AfterFunc(wait, func() {
 				a.mu.Lock()
 				a.cond.Broadcast()
 				a.mu.Unlock()

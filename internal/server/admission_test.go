@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -74,10 +75,12 @@ func TestAdmissionRateCapUnder64Clients(t *testing.T) {
 // waiters before interactive ones on a drained bucket and asserts strict
 // deadline-urgency ordering of the grants: every interactive admit lands
 // before any best-effort admit, and interactive p95 wait < best-effort p95
-// wait.
+// wait. The bucket runs on a manual clock that stands still until both
+// classes have queued, then moves one token's worth at a time.
 func TestAdmissionQueuePriorityServesInteractiveFirst(t *testing.T) {
 	const perClass = 8
-	a := NewAdmission(AdmissionConfig{Rate: 200, Burst: 1, QueueCap: 64})
+	clk := newManualClock()
+	a := newAdmission(AdmissionConfig{Rate: 200, Burst: 1, QueueCap: 64}, clk)
 	// Drain the bucket so every waiter below must queue.
 	if err := a.Admit(context.Background(), slo.BestEffort); err != nil {
 		t.Fatalf("drain admit: %v", err)
@@ -91,12 +94,12 @@ func TestAdmissionQueuePriorityServesInteractiveFirst(t *testing.T) {
 	}
 	results := make(chan done, 2*perClass)
 	launch := func(class slo.Class) {
-		start := time.Now()
+		start := clk.Now()
 		if err := a.Admit(context.Background(), class); err != nil {
 			t.Errorf("%s admit: %v", class, err)
 			return
 		}
-		results <- done{class: class, rank: order.Add(1), wait: time.Since(start)}
+		results <- done{class: class, rank: order.Add(1), wait: clk.Now().Sub(start)}
 	}
 
 	// Best-effort waiters queue first...
@@ -110,10 +113,23 @@ func TestAdmissionQueuePriorityServesInteractiveFirst(t *testing.T) {
 	}
 	waitForQueue(t, a, 2*perClass)
 
+	// One step accrues one token (the burst caps it at one). Each step waits
+	// for a token timer to be armed and for the previous grant to report, so
+	// grants happen, and are ranked, one at a time.
+	var granted []done
+	for i := 0; i < 2*perClass; i++ {
+		clk.waitArmed(t, 1)
+		clk.advance(10 * time.Millisecond)
+		select {
+		case d := <-results:
+			granted = append(granted, d)
+		case <-time.After(10 * time.Second):
+			t.Fatalf("no grant after step %d", i+1)
+		}
+	}
 	waits := map[slo.Class][]time.Duration{}
 	ranks := map[slo.Class][]int64{}
-	for i := 0; i < 2*perClass; i++ {
-		d := <-results
+	for _, d := range granted {
 		waits[d.class] = append(waits[d.class], d.wait)
 		ranks[d.class] = append(ranks[d.class], d.rank)
 	}
@@ -141,6 +157,8 @@ func TestAdmissionQueuePriorityServesInteractiveFirst(t *testing.T) {
 	}
 }
 
+// waitForQueue yields until depth waiters are queued; the deadline only
+// turns a hang into a failure.
 func waitForQueue(t *testing.T, a *Admission, depth int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -148,7 +166,7 @@ func waitForQueue(t *testing.T, a *Admission, depth int) {
 		if time.Now().After(deadline) {
 			t.Fatalf("queue never reached depth %d (now %d)", depth, a.Stats().QueuedNow)
 		}
-		time.Sleep(time.Millisecond)
+		runtime.Gosched()
 	}
 }
 

@@ -36,7 +36,7 @@ type gatherBatch struct {
 	pred  *core.Predictor
 	gen   uint64
 	jobs  []*predictJob
-	timer *time.Timer
+	timer stopper
 }
 
 // batcher gathers concurrent /predict requests per platform for up to
@@ -47,6 +47,7 @@ type batcher struct {
 	window time.Duration
 	max    int
 	memo   *core.PredictMemo
+	clock  clock
 
 	mu      sync.Mutex
 	pending map[string]*gatherBatch
@@ -56,11 +57,11 @@ type batcher struct {
 	widthMax atomic.Int64 // widest batch flushed so far
 }
 
-func newBatcher(window time.Duration, max int, memo *core.PredictMemo) *batcher {
+func newBatcher(window time.Duration, max int, memo *core.PredictMemo, clk clock) *batcher {
 	if max < 1 {
 		max = 1
 	}
-	return &batcher{window: window, max: max, memo: memo, pending: make(map[string]*gatherBatch)}
+	return &batcher{window: window, max: max, memo: memo, clock: clk, pending: make(map[string]*gatherBatch)}
 }
 
 // enqueue joins (or opens) the gather window for platform and returns the
@@ -82,7 +83,7 @@ func (b *batcher) enqueue(pred *core.Predictor, gen uint64, platform string, key
 	if gb == nil {
 		gb = &gatherBatch{pred: pred, gen: gen}
 		b.pending[platform] = gb
-		gb.timer = time.AfterFunc(b.window, func() { b.flushExpired(platform, gb) })
+		gb.timer = b.clock.AfterFunc(b.window, func() { b.flushExpired(platform, gb) })
 	}
 	gb.jobs = append(gb.jobs, j)
 	full := len(gb.jobs) >= b.max

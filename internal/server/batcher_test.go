@@ -138,35 +138,43 @@ func TestPredictBatchingWindowExpiry(t *testing.T) {
 }
 
 // TestPredictBatchingCancelledCaller: a caller that gives up mid-window gets
-// its deadline error immediately, the flush still runs, and the computed
-// result lands in the memo for the next caller — a departed client never
-// wedges or poisons a batch.
+// its error immediately, the flush still runs, and the computed result lands
+// in the memo for the next caller — a departed client never wedges or
+// poisons a batch. The window runs on a manual clock: the caller cancels only
+// once its request sits in an open window, and the window closes only when
+// the clock is moved past it.
 func TestPredictBatchingCancelledCaller(t *testing.T) {
 	pred := trainTinyPredictor(t)
 	c, srv := startServer(t, pred)
+	clk := newManualClock()
+	srv.clock = clk
 	srv.ConfigurePredictBatching(150*time.Millisecond, 64)
 	g := variantGraphs(t, 1, 43)[0]
 
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	if _, err := c.PredictContext(ctx, g, hwsim.DatasetPlatform, 0); err == nil {
-		t.Fatal("want a deadline error from the abandoned request")
+	errc := make(chan error, 1)
+	go func() {
+		_, err := c.PredictContext(ctx, g, hwsim.DatasetPlatform, 0)
+		errc <- err
+	}()
+	clk.waitArmed(t, 1) // the window opened with this request in it
+	if n := openWindowJobs(srv.batch); n != 1 {
+		t.Fatalf("%d requests in open windows, want 1", n)
+	}
+	cancel()
+	if err := <-errc; err == nil {
+		t.Fatal("want an error from the abandoned request")
 	}
 
 	// The window still flushes on its timer and memoizes the result.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st, err := c.Stats()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.PredictBatches == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("abandoned window never flushed")
-		}
-		time.Sleep(5 * time.Millisecond)
+	clk.advance(150 * time.Millisecond)
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.PredictBatches != 1 {
+		t.Fatal("abandoned window never flushed")
 	}
 	req, err := encodeRequest(g, hwsim.DatasetPlatform, 0)
 	if err != nil {
@@ -193,4 +201,15 @@ func TestPredictBatchingErrorFansOut(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "status 400") {
 		t.Fatalf("err = %v, want a 400 for the untrained platform", err)
 	}
+}
+
+// openWindowJobs counts the requests waiting in b's open gather windows.
+func openWindowJobs(b *batcher) int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	n := 0
+	for _, gb := range b.pending {
+		n += len(gb.jobs)
+	}
+	return n
 }

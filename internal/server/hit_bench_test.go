@@ -26,8 +26,8 @@ func (w *nullWriter) WriteHeader(status int)      { w.status = status }
 // BenchmarkServeQueryHit is the database-hit path of the paper (Table 2) as
 // the daemon runs it, minus the socket: the real Handler(), 256 pre-encoded
 // zoo bodies cycling (the hit_replay working set), every answer from L1. What
-// is left is JSON + base64 + onnx decode + index + graph hash + the L1 probe
-// + the response encode; `make profile` captures where it goes.
+// is left is the body scan + base64 + onnx decode + index + graph hash + the
+// L1 probe + the response encode; `make profile` captures where it goes.
 func BenchmarkServeQueryHit(b *testing.B) {
 	store, err := db.OpenStore("")
 	if err != nil {

@@ -6,9 +6,12 @@ import (
 	"encoding/json"
 	"math/rand"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
+	"nnlqp/internal/cluster"
+	"nnlqp/internal/graphhash"
 	"nnlqp/internal/hwsim"
 	"nnlqp/internal/models"
 )
@@ -24,16 +27,42 @@ func postRaw(t *testing.T, c *Client, path string, body []byte) int {
 }
 
 // TestRequestBodyBounds: a body over the cap is a 413 on both model
-// endpoints, a short body whose length prefixes promise gigabytes is a 400
-// answered at once, and a real ~10 KB body is still a 200.
+// endpoints, at a replica and through a router, even when its first bytes are
+// a complete valid request (the whole body is read before it is parsed); a
+// short body whose length prefixes promise gigabytes is a 400 answered at
+// once; and a real ~10 KB body is still a 200, with or without bytes after
+// its closing brace.
 func TestRequestBodyBounds(t *testing.T) {
 	c, _ := startServer(t, nil)
+	routed, _ := startCluster(t, 1, cluster.CacheAffinity{})
+
+	g, err := models.Variant(models.FamilyResNet, rand.New(rand.NewSource(1)), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := encodeRequest(g, hwsim.DatasetPlatform, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	real, _ := json.Marshal(req)
+	if len(real) < 5_000 {
+		t.Fatalf("the real body is only %d bytes", len(real))
+	}
 
 	over := append([]byte(`{"platform":"p","model":"`), bytes.Repeat([]byte("A"), maxBodyBytes)...)
 	over = append(over, `"}`...)
+	validThenPadding := append(bytes.Clone(real), bytes.Repeat([]byte(" "), maxBodyBytes-len(real)+16)...)
 	for _, path := range []string{"/query", "/predict"} {
-		if got := postRaw(t, c, path, over); got != http.StatusRequestEntityTooLarge {
-			t.Errorf("%s with %d bytes: status %d, want 413", path, len(over), got)
+		for _, via := range []struct {
+			name string
+			c    *Client
+		}{{"replica", c}, {"router", routed}} {
+			if got := postRaw(t, via.c, path, over); got != http.StatusRequestEntityTooLarge {
+				t.Errorf("%s %s with %d bytes: status %d, want 413", via.name, path, len(over), got)
+			}
+			if got := postRaw(t, via.c, path, validThenPadding); got != http.StatusRequestEntityTooLarge {
+				t.Errorf("%s %s with a valid request padded to %d bytes: status %d, want 413", via.name, path, len(validThenPadding), got)
+			}
 		}
 	}
 
@@ -51,19 +80,55 @@ func TestRequestBodyBounds(t *testing.T) {
 		t.Errorf("refusing a 13-byte model took %v", took)
 	}
 
-	g, err := models.Variant(models.FamilyResNet, rand.New(rand.NewSource(1)), 1)
+	if got := postRaw(t, c, "/query", real); got != http.StatusOK {
+		t.Errorf("/query with a real %d-byte body: status %d, want 200", len(real), got)
+	}
+	if got := postRaw(t, c, "/query", append(bytes.Clone(real), " {trailing"...)); got != http.StatusOK {
+		t.Errorf("/query with bytes after the request: status %d, want 200", got)
+	}
+}
+
+// TestDecodedGraphOutlivesPooledBuffers: a graph decoded from the pooled
+// body and model buffers keeps its key and node names after both buffers are
+// overwritten, as they are when the next request reuses them.
+func TestDecodedGraphOutlivesPooledBuffers(t *testing.T) {
+	g0, err := models.Variant(models.FamilyResNet, rand.New(rand.NewSource(2)), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	req, err := encodeRequest(g, hwsim.DatasetPlatform, 0)
+	req, err := encodeRequest(g0, hwsim.DatasetPlatform, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, _ = json.Marshal(req)
-	if len(body) < 5_000 {
-		t.Fatalf("the real body is only %d bytes", len(body))
+	model := []byte(req.Model)
+	var raw []byte
+	g, err := decodeModel(model, 4, &raw)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := postRaw(t, c, "/query", body); got != http.StatusOK {
-		t.Errorf("/query with a real %d-byte body: status %d, want 200", len(body), got)
+	want, err := graphhash.GraphKey(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, n := range g.Nodes {
+		names = append(names, strings.Clone(n.Name))
+	}
+
+	for i := range model {
+		model[i] = 'A'
+	}
+	raw = raw[:cap(raw)]
+	for i := range raw {
+		raw[i] = 0xAA
+	}
+	g.InvalidateMemo()
+	if got, err := graphhash.GraphKey(g); err != nil || got != want {
+		t.Fatalf("key after the buffers were overwritten = %v, %v; want %v", got, err, want)
+	}
+	for i, n := range g.Nodes {
+		if n.Name != names[i] {
+			t.Fatalf("node %d is named %q after the buffers were overwritten, was %q", i, n.Name, names[i])
+		}
 	}
 }

@@ -16,11 +16,13 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"sync"
@@ -34,6 +36,7 @@ import (
 	"nnlqp/internal/query"
 	"nnlqp/internal/serve"
 	"nnlqp/internal/slo"
+	"nnlqp/internal/wire"
 )
 
 // Default serving timeouts, overridable on Server before Serve is called.
@@ -57,6 +60,7 @@ type Server struct {
 	mu      sync.RWMutex
 	batch   *batcher   // nil = /predict answers each request individually
 	admit   *Admission // nil = admission control off
+	clock   clock      // the batcher window's time source
 
 	retrainMu sync.Mutex
 	retrainer *serve.Retrainer
@@ -84,6 +88,7 @@ func NewCore(storage *StorageRole, meas *MeasurementRole, pred *core.Predictor) 
 		sys:            query.NewWith(storage.Store(), meas.Farm(), storage.Cache()),
 		memo:           core.NewPredictMemo(0),
 		engine:         serve.NewEngine(pred),
+		clock:          wallClock{},
 		RequestTimeout: DefaultRequestTimeout,
 		ShutdownGrace:  DefaultShutdownGrace,
 	}
@@ -190,7 +195,7 @@ func (s *Server) ConfigurePredictBatching(window time.Duration, maxWidth int) {
 		s.batch = nil
 		return
 	}
-	s.batch = newBatcher(window, maxWidth, s.memo)
+	s.batch = newBatcher(window, maxWidth, s.memo, s.clock)
 }
 
 // Request is the JSON body of /query and /predict.
@@ -418,33 +423,38 @@ func statusForError(err error) int {
 	}
 }
 
-// decodeModel parses and validates the request's model. A batch_size
+// decodeModel parses and validates the request's base64 model, decoding it
+// into *raw (grown when too small, so the caller can pool it). A batch_size
 // override rewrites the leading input dimension and re-runs shape inference
 // so an inconsistent override is rejected here (400) rather than surfacing
 // as a farm-side failure — and so downstream FLOPs/MAC stats and the
 // simulator always see shapes for the batch actually being served.
-func decodeModel(req *Request) (*onnx.Graph, error) {
-	raw, err := base64.StdEncoding.DecodeString(req.Model)
+func decodeModel(model []byte, batchSize int, raw *[]byte) (*onnx.Graph, error) {
+	n := base64.StdEncoding.DecodedLen(len(model))
+	if cap(*raw) < n {
+		*raw = make([]byte, n)
+	}
+	n, err := base64.StdEncoding.Decode((*raw)[:n], model)
 	if err != nil {
 		return nil, fmt.Errorf("model is not valid base64: %w", err)
 	}
-	g, err := onnx.DecodeBinary(raw)
+	g, err := onnx.DecodeBinary((*raw)[:n])
 	if err != nil {
 		return nil, fmt.Errorf("model does not decode: %w", err)
 	}
-	if req.BatchSize > 0 {
+	if batchSize > 0 {
 		for i := range g.Inputs {
 			if len(g.Inputs[i].Shape) > 0 {
-				g.Inputs[i].Shape[0] = req.BatchSize
+				g.Inputs[i].Shape[0] = batchSize
 			}
 		}
 	}
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	if req.BatchSize > 0 {
+	if batchSize > 0 {
 		if _, err := g.InferShapes(); err != nil {
-			return nil, fmt.Errorf("batch_size %d is inconsistent with the model: %w", req.BatchSize, err)
+			return nil, fmt.Errorf("batch_size %d is inconsistent with the model: %w", batchSize, err)
 		}
 	}
 	return g, nil
@@ -452,41 +462,105 @@ func decodeModel(req *Request) (*onnx.Graph, error) {
 
 // maxBodyBytes caps a /query or /predict body: ~800× the zoo's ~10 KB mean,
 // far above any real model and far below what could exhaust the process.
+// The whole body is read before it is parsed, so every body over the cap is
+// a 413, whatever its first bytes hold.
 const maxBodyBytes = 8 << 20
 
-func readRequest(w http.ResponseWriter, r *http.Request) (*Request, *onnx.Graph, bool) {
+// maxPooledBytes is the largest buffer requestBufs returns to the pool: one
+// rare multi-megabyte body must not stay pinned for the life of the process.
+const maxPooledBytes = 1 << 20
+
+// requestBufs holds one request's body and its base64-decoded model. Both
+// return to the pool as soon as DecodeBinary has run: it copies its input
+// into a string of its own, so no graph refers to either buffer.
+type requestBufs struct{ body, raw []byte }
+
+var bufPool = sync.Pool{New: func() any { return new(requestBufs) }}
+
+func (b *requestBufs) release() {
+	if cap(b.body) > maxPooledBytes {
+		b.body = nil
+	}
+	if cap(b.raw) > maxPooledBytes {
+		b.raw = nil
+	}
+	bufPool.Put(b)
+}
+
+// readBody reads the whole of r's body, at most maxBodyBytes, into buf[:0].
+// A Content-Length within the cap sizes the buffer up front; a larger claim
+// is never allocated, the cap refuses it once that many bytes have arrived.
+func readBody(w http.ResponseWriter, r *http.Request, buf []byte) ([]byte, error) {
+	if n := r.ContentLength; n > 0 && n <= maxBodyBytes && int(n) >= cap(buf) {
+		buf = make([]byte, 0, n+1) // +1: the read that sees EOF needs room
+	}
+	rd := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	buf = buf[:0]
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := rd.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+}
+
+// readRequest reads, parses and decodes one /query or /predict body and
+// returns its platform and graph. The canonical body (wire.ScanRequest) is
+// parsed in place; any other body goes through encoding/json exactly as it
+// always has, so it decodes, and fails, with the same result and message.
+func readRequest(w http.ResponseWriter, r *http.Request) (string, *onnx.Graph, bool) {
 	if r.Method != http.MethodPost {
 		writeErr(w, http.StatusMethodNotAllowed, errors.New("POST required"))
-		return nil, nil, false
+		return "", nil, false
 	}
-	var req Request
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
+	bufs := bufPool.Get().(*requestBufs)
+	defer bufs.release()
+	body, err := readBody(w, r, bufs.body)
+	bufs.body = body
+	if err != nil {
 		status := http.StatusBadRequest
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			status = http.StatusRequestEntityTooLarge
 		}
 		writeErr(w, status, fmt.Errorf("bad json: %w", err))
-		return nil, nil, false
+		return "", nil, false
 	}
-	if req.Platform == "" {
+	model, platform, batch, ok := wire.ScanRequest(body)
+	if !ok {
+		// Decoder, not Unmarshal: bytes after the first value are ignored.
+		var req Request
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad json: %w", err))
+			return "", nil, false
+		}
+		model, platform, batch = []byte(req.Model), req.Platform, req.BatchSize
+	}
+	if platform == "" {
 		writeErr(w, http.StatusBadRequest, errors.New("platform required"))
-		return nil, nil, false
+		return "", nil, false
 	}
-	g, err := decodeModel(&req)
+	g, err := decodeModel(model, batch, &bufs.raw)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
-		return nil, nil, false
+		return "", nil, false
 	}
-	return &req, g, true
+	return platform, g, true
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	req, g, ok := readRequest(w, r)
+	platform, g, ok := readRequest(w, r)
 	if !ok {
 		return
 	}
-	res, err := s.sys.Query(r.Context(), g, req.Platform)
+	res, err := s.sys.Query(r.Context(), g, platform)
 	if err != nil {
 		writeErr(w, statusForError(err), err)
 		return
@@ -501,7 +575,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	req, g, ok := readRequest(w, r)
+	platform, g, ok := readRequest(w, r)
 	if !ok {
 		return
 	}
@@ -528,7 +602,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	if v, ok := s.memo.Get(uint64(key), req.Platform, gen); ok {
+	if v, ok := s.memo.Get(uint64(key), platform, gen); ok {
 		writeJSON(w, http.StatusOK, PredictResponse{LatencyMS: v, Memoized: true, Generation: gen})
 		return
 	}
@@ -540,7 +614,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		j := bt.enqueue(pred, gen, req.Platform, uint64(key), gf)
+		j := bt.enqueue(pred, gen, platform, uint64(key), gf)
 		select {
 		case out := <-j.done:
 			if out.err != nil {
@@ -558,7 +632,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	v, err := pred.Predict(g, req.Platform)
+	v, err := pred.Predict(g, platform)
 	if err != nil {
 		// Predictor errors are request-shaped (unknown platform head, graph
 		// the feature extractor rejects) — the caller must change the
@@ -566,7 +640,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	s.memo.Put(uint64(key), req.Platform, gen, v)
+	s.memo.Put(uint64(key), platform, gen, v)
 	writeJSON(w, http.StatusOK, PredictResponse{LatencyMS: v, Generation: gen})
 }
 

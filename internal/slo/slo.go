@@ -14,7 +14,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"time"
 )
 
 // Class is one SLO tier. The zero value is not valid; use BestEffort as the
@@ -55,17 +54,6 @@ func Parse(s string) (Class, error) {
 func (c Class) Valid() bool {
 	_, err := Parse(string(c))
 	return err == nil
-}
-
-// Deadline is the class's latency target; 0 means no deadline (BestEffort).
-func (c Class) Deadline() time.Duration {
-	switch c {
-	case Interactive:
-		return 50 * time.Millisecond
-	case Batch:
-		return 500 * time.Millisecond
-	}
-	return 0
 }
 
 // Urgency orders classes for queueing: lower is served first. Unknown

@@ -4,7 +4,6 @@ import (
 	"context"
 	"net/http"
 	"testing"
-	"time"
 )
 
 func TestParseRoundTrip(t *testing.T) {
@@ -37,18 +36,6 @@ func TestUrgencyOrdering(t *testing.T) {
 	}
 	if Class("junk").Urgency() != BestEffort.Urgency() {
 		t.Fatal("unknown class should rank with best-effort")
-	}
-}
-
-func TestDeadlines(t *testing.T) {
-	if Interactive.Deadline() != 50*time.Millisecond {
-		t.Fatalf("interactive deadline = %s", Interactive.Deadline())
-	}
-	if Batch.Deadline() != 500*time.Millisecond {
-		t.Fatalf("batch deadline = %s", Batch.Deadline())
-	}
-	if BestEffort.Deadline() != 0 {
-		t.Fatalf("best-effort deadline = %s", BestEffort.Deadline())
 	}
 }
 
